@@ -375,6 +375,45 @@ class LogicVec:
         return f'LogicVec("{self.bits}")'
 
 
+# -- result constructors for generated code ------------------------------------
+#
+# Compiled simulators emit lN arithmetic, compares, shifts, resizes and
+# slices as inline plane expressions (see repro.sim.blaze): one unknown-plane
+# test, then int arithmetic on the ``val`` planes.  Their results come from
+# the two helpers below, kept here so that only this module builds
+# LogicVec internals.
+
+_new = object.__new__
+
+
+def two_valued(value, width):
+    """A strong two-valued vector from an int already masked to ``width``.
+
+    The allocation behind every two-valued result of generated code: no
+    width check, no masking, no classmethod dispatch.
+    """
+    self = _new(LogicVec)
+    self._width = width
+    self._val = value
+    self._unk = 0
+    self._weak = 0
+    self._aux = 0
+    self._bits = None
+    return self
+
+
+class _AllX(dict):
+    def __missing__(self, width):
+        vec = self[width] = LogicVec.filled("X", width)
+        return vec
+
+
+#: The shared all-``X`` vector per width (``ALL_X[w]``), the result of an
+#: lN arithmetic or shift op with an unknown operand.  Vectors are
+#: immutable, so one instance per width serves every such result.
+ALL_X = _AllX()
+
+
 # -- lane-widened (batched) plane helpers -----------------------------------
 #
 # Batch simulation packs K independent stimulus lanes into one LogicVec of

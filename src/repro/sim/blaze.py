@@ -15,7 +15,11 @@ translates every unit into Python source once, compiles it with
   zero-argument ``__activate__`` closure that is the entity's entire
   re-activation — one straight-line function, no per-activation
   dispatch, with whole-signal probes inlined to ``sig.value`` reads;
-* functions become plain Python functions.
+* functions become plain Python functions;
+* pure ops become inline expressions from per-type template tables
+  (``_INLINE_INT_OPS``, ``_INLINE_CMP`` and, for four-state ``lN``
+  values, ``_INLINE_LOGIC_OPS``) rather than calls into the reference
+  evaluator.
 
 Elaboration (hierarchy walk, signal creation) is shared with the reference
 interpreter.  Because ``con`` net merging happens throughout elaboration,
@@ -30,14 +34,11 @@ from __future__ import annotations
 
 import io
 
-from ..ir.ninevalued import LogicVec, lane_ones
+from ..ir.ninevalued import ALL_X, LogicVec, lane_ones, two_valued
 from ..ir.units import UnitDecl
 from ..ir.values import TimeValue
 from .engine import Kernel, SignalInstance, SignalRef
-from .eval import (
-    _int_binary, _logic_binary, int_shift, logic_compare, logic_level,
-    logic_neg, logic_shift,
-)
+from .eval import _int_binary, int_shift, logic_level
 from .interp import (
     Cell, CellRef, Design, EntityInstance, LaneProcessInstance,
     ProcessInstance,
@@ -119,10 +120,6 @@ def _rt_insf(agg, value, index):
     return agg[:index] + (value,) + agg[index + 1:]
 
 
-def _rt_divmod(op, a, b, width):
-    return _int_binary(op, a, b, width)
-
-
 def _rt_resolve(value):
     """Resolve a binding through ``con`` merging, once, at bind time."""
     if isinstance(value, SignalInstance):
@@ -143,10 +140,9 @@ _BASE_GLOBALS = {
     "_insf": _rt_insf,
     "_idx": _rt_index,
     "_ibin": _int_binary,
-    "_lbin": _logic_binary,
-    "_lneg": logic_neg,
+    "_lv2": two_valued,
+    "_LVX": ALL_X,
     "_lvl": logic_level,
-    "_lshift": logic_shift,
     "_ishift": int_shift,
     "_tosigned": to_signed,
     "_extract": extract_path,
@@ -180,6 +176,42 @@ _INLINE_CMP = {
     "sge": "1 if _tosigned({a}, {w}) >= _tosigned({b}, {w}) else 0",
 }
 
+# Four-state (lN) templates over the bit planes: ``(unknown, known)``.
+# The emitted code tests the operands' unknown planes once and then
+# evaluates ``known`` — iN arithmetic on the ``val`` planes {a}/{b}, with
+# the mask {m} a hex literal — or ``unknown``: the shared all-X vector,
+# 0 for a compare, or the packed method on the operand vectors {x}/{y}.
+# A two-valued result is built by ``_lv2`` from an already-masked int.
+# The compares reuse the iN table on the val planes ({w} is then the
+# operand width); {b} of ``shl`` is the amount clamped to the width.
+# Resizes and slices keep L/H strength, so their test covers the weak
+# plane as well.  The table is pinned to ``eval.evaluate`` by
+# tests/sim/test_logic_templates.py.
+_INLINE_LOGIC_OPS = {
+    "add": ("_LVX[{w}]", "_lv2(({a} + {b}) & {m}, {w})"),
+    "sub": ("_LVX[{w}]", "_lv2(({a} - {b}) & {m}, {w})"),
+    "mul": ("_LVX[{w}]", "_lv2(({a} * {b}) & {m}, {w})"),
+    "neg": ("_LVX[{w}]", "_lv2(-{a} & {m}, {w})"),
+    "and": ("{x}.and_({y})", "_lv2({a} & {b}, {w})"),
+    "or": ("{x}.or_({y})", "_lv2({a} | {b}, {w})"),
+    "xor": ("{x}.xor({y})", "_lv2({a} ^ {b}, {w})"),
+    "not": ("{x}.not_()", "_lv2(~{a} & {m}, {w})"),
+    "shl": ("_LVX[{w}]", "_lv2(({a} << {b}) & {m}, {w})"),
+    "shr": ("_LVX[{w}]", "_lv2({a} >> {b}, {w})"),
+    "zext": ("{x}.zext({w})", "_lv2({a}, {w})"),
+    "sext": ("{x}.sext({w})", "_lv2((({a} ^ {s}) - {s}) & {m}, {w})"),
+    "trunc": ("{x}.trunc({w})", "_lv2({a} & {m}, {w})"),
+    "exts": ("{x}.slice_({o}, {w})", "_lv2(({a} >> {o}) & {m}, {w})"),
+}
+# Division and modulo go through the iN helper, which raises on a zero
+# divisor.
+_INLINE_LOGIC_OPS.update(
+    (op, ("_LVX[{w}]", f"_lv2(_ibin({op!r}, {{a}}, {{b}}, {{w}}), {{w}})"))
+    for op in ("udiv", "sdiv", "umod", "smod", "urem", "srem"))
+_INLINE_LOGIC_OPS.update(
+    (op, ("0", known)) for op, known in _INLINE_CMP.items())
+_KEEPS_STRENGTH = frozenset({"zext", "sext", "trunc", "exts"})
+
 # Opcodes with no side effects: eligible for bind-time hoisting in
 # entities when every operand is already bound.
 _HOISTABLE_OPS = frozenset({
@@ -188,6 +220,22 @@ _HOISTABLE_OPS = frozenset({
     "ult", "ugt", "ule", "uge", "slt", "sgt", "sle", "sge", "zext", "sext",
     "trunc", "array", "struct", "mux", "insf", "inss", "extf", "exts",
 })
+
+
+def _const_of(value):
+    """The value of a ``const`` instruction operand, else None."""
+    if getattr(value, "opcode", None) == "const":
+        return value.attrs["value"]
+    return None
+
+
+def _clamped_amount(amount, const, width):
+    """A ``shl`` amount expression clamped to ``width``: shifting a
+    width-bit int by the width already clears it, and a larger amount
+    would only build a huge intermediate int."""
+    if const is not None:
+        return repr(min(const, width))
+    return f"({amount} if {amount} < {width} else {width})"
 
 
 class _CodeBuffer:
@@ -306,28 +354,17 @@ class UnitCompiler:
 
         if op == "const":
             return self.const_expr(inst)
+        if op in _INLINE_LOGIC_OPS and ops[0].type.is_logic:
+            return self._logic_expr(inst)
         if op in _INLINE_INT_OPS or op in ("udiv", "sdiv", "umod", "smod",
                                            "urem", "srem"):
             a, b = n(ops[0]), n(ops[1])
-            if ops[0].type.is_logic:
-                # Table ops dispatch straight to the packed methods; only
-                # lN arithmetic (two-valued fast path or degrade-to-X)
-                # goes through the shared helper.
-                if op == "and":
-                    return f"{a}.and_({b})"
-                if op == "or":
-                    return f"{a}.or_({b})"
-                if op == "xor":
-                    return f"{a}.xor({b})"
-                return f"_lbin({op!r}, {a}, {b})"
             w = inst.type.width
             if op in _INLINE_INT_OPS:
                 return _INLINE_INT_OPS[op].format(a=a, b=b, m=hex(mask(w)))
             return f"_ibin({op!r}, {a}, {b}, {w})"
         if op in _INLINE_CMP:
             a, b = n(ops[0]), n(ops[1])
-            if ops[0].type.is_logic:
-                return (f"_lcmp({op!r}, {a}, {b})")
             if ops[0].type.is_int:
                 w = ops[0].type.width
                 return _INLINE_CMP[op].format(a=a, b=b, w=w)
@@ -336,36 +373,26 @@ class UnitCompiler:
                 return f"1 if {a} == {b} else 0"
             return f"1 if {a} != {b} else 0"
         if op == "not":
-            if ops[0].type.is_logic:
-                return f"{n(ops[0])}.not_()"
             return f"(~{n(ops[0])}) & {hex(mask(inst.type.width))}"
         if op == "neg":
-            if ops[0].type.is_logic:
-                return f"_lneg({n(ops[0])})"
             return f"(-{n(ops[0])}) & {hex(mask(inst.type.width))}"
         if op in ("shl", "shr"):
-            # Unknown bits (X/Z) in either operand propagate: all-X result
-            # on lN values, a SimulationError on iN (no unknown encoding).
+            # An unknown amount on an iN value is a SimulationError (an
+            # integer cannot represent unknown).
             a, b = n(ops[0]), n(ops[1])
-            if ops[0].type.is_logic:
-                return f"_lshift({op!r}, {a}, {b})"
+            w = inst.type.width
             if ops[1].type.is_logic:
-                return f"_ishift({op!r}, {a}, {b}, {inst.type.width})"
+                return f"_ishift({op!r}, {a}, {b}, {w})"
             if op == "shl":
-                return f"({a} << {b}) & {hex(mask(inst.type.width))}"
+                b = _clamped_amount(b, _const_of(ops[1]), w)
+                return f"({a} << {b}) & {hex(mask(w))}"
             return f"{a} >> {b}"
         if op == "zext":
-            if ops[0].type.is_logic:
-                return f"{n(ops[0])}.zext({inst.type.width})"
             return n(ops[0])
         if op == "sext":
-            if ops[0].type.is_logic:
-                return f"{n(ops[0])}.sext({inst.type.width})"
             return (f"_tosigned({n(ops[0])}, {ops[0].type.width}) & "
                     f"{hex(mask(inst.type.width))}")
         if op == "trunc":
-            if ops[0].type.is_logic:
-                return f"{n(ops[0])}.trunc({inst.type.width})"
             return f"{n(ops[0])} & {hex(mask(inst.type.width))}"
         if op == "array":
             if inst.attrs.get("splat"):
@@ -401,6 +428,51 @@ class UnitCompiler:
                 return f"{arr}[{sel}]"
             return f"{arr}[{sel} if {sel} < {length} else {length - 1}]"
         raise SimulationError(f"blaze: cannot compile pure op {op}")
+
+    def _logic_expr(self, inst):
+        """Inline plane expression for an lN op (``_INLINE_LOGIC_OPS``).
+
+        Constant operands fold at compile time: a two-valued one drops
+        out of the unknown test and contributes its ``val`` plane as a
+        literal; an unknown one selects the unknown result outright.
+        """
+        op = inst.opcode
+        ops = inst.operands
+        unknown, known = _INLINE_LOGIC_OPS[op]
+        planes = ("_unk", "_weak") if op in _KEEPS_STRENGTH else ("_unk",)
+        w = ops[0].type.width if op in _INLINE_CMP else inst.type.width
+        fields = {"w": w, "m": hex(mask(w)),
+                  "s": hex(1 << (ops[0].type.width - 1)),
+                  "o": inst.attrs.get("offset")}
+        tests = []
+        for role, value in zip("ab", ops):
+            name = self.name(value)
+            const = _const_of(value)
+            if not value.type.is_logic:
+                # The iN amount of a shift.
+                fields[role] = name if const is None else repr(const)
+            elif const is None:
+                fields[role] = f"{name}._val"
+                tests += [f"{name}.{plane}" for plane in planes]
+            elif any(getattr(const, plane) for plane in planes):
+                tests = None
+                break
+            else:
+                fields[role] = hex(const._val)
+        fields["x"] = self.name(ops[0])
+        fields["y"] = self.name(ops[1]) if len(ops) > 1 else None
+        if tests is None:
+            return unknown.format(**fields)
+        if op == "shl":
+            const = _const_of(ops[1])
+            if isinstance(const, LogicVec):
+                const = const._val
+            fields["b"] = _clamped_amount(fields["b"], const, w)
+        known = known.format(**fields)
+        if not tests:
+            return known
+        return f"{unknown.format(**fields)} if {' | '.join(tests)} " \
+            f"else {known}"
 
     def _expr_lanes(self, inst):
         """RHS expression for a pure instruction over lane-widened values.
@@ -585,9 +657,6 @@ class UnitCompiler:
             tk = self.runtime_const(tuple(o.type for o in inst.operands))
             return f"call({inst.callee!r}, ({args}{tail}), {tk})"
         return f"call({inst.callee!r}, ({args}{tail}))"
-
-
-_BASE_GLOBALS["_lcmp"] = logic_compare
 
 
 class ProcessCompiler(UnitCompiler):

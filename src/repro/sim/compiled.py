@@ -40,7 +40,7 @@ from .eval import path_of
 from .values import SimulationError
 
 #: Bump to invalidate every cached cone (cache keys carry the salt).
-ENGINE_VERSION = 1
+ENGINE_VERSION = 2
 
 
 class TemplateError(Exception):

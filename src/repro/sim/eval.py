@@ -1,10 +1,15 @@
 """Evaluation of pure data-flow instructions.
 
 ``evaluate(inst, operands)`` computes the result of one side-effect-free
-instruction from already-evaluated operand values.  It is shared by the
-reference interpreter, the compiled simulators, and the constant-folding
-pass (which runs it on constant operands at compile time), so all agree on
-arithmetic semantics by construction.
+instruction from already-evaluated operand values.  It is the reference
+semantics: the interpreter and the constant-folding pass (which runs it on
+constant operands at compile time) call it directly.  The compiled
+simulators (blaze, and the levelized cone built from blaze's emitter)
+instead emit most ops as inline expression templates
+(``blaze._INLINE_INT_OPS``, ``_INLINE_CMP``, ``_INLINE_LOGIC_OPS``); the
+``lN`` table is pinned to ``evaluate`` op by op by
+``tests/sim/test_logic_templates.py``, and the engine-equivalence tests
+hold every engine's traces to the interpreter's.
 
 Semantics notes:
 
@@ -17,7 +22,9 @@ Semantics notes:
 * shifts of an ``lN`` value degrade to all-``X`` when either the shifted
   value or the shift amount contains non-two-valued bits, mirroring the
   arithmetic rule; an unknown shift amount applied to an ``iN`` value is
-  an error (an integer cannot represent "unknown").
+  an error (an integer cannot represent "unknown").  A left shift by an
+  amount at or beyond the width is 0, computed without building the
+  shifted intermediate.
 * ``eq``/``neq`` on ``lN`` compare the X01-normalized bits.
 
 ``evaluate`` dispatches through :data:`EVALUATORS`, a per-opcode function
@@ -179,6 +186,8 @@ def logic_shift(op, a, amount):
     if amount is None or a._unk:
         return LogicVec.filled("X", a.width)
     if op == "shl":
+        if amount >= a.width:
+            return LogicVec.from_int(0, a.width)
         return LogicVec.from_int(a._val << amount, a.width)
     return LogicVec.from_int(a._val >> amount, a.width)
 
@@ -189,6 +198,8 @@ def int_shift(op, a, amount, width):
     if amount is None:
         raise SimulationError(f"{op}: shift amount is unknown (X)")
     if op == "shl":
+        if amount >= width:
+            return 0
         return (a << amount) & mask(width)
     return a >> amount
 

@@ -302,6 +302,8 @@ def _lanes_shift(inst, operands, lanes):
     for k in range(lanes):
         x = (a >> (k * w)) & mw
         amt = (amount >> (k * wa)) & ma
+        if amt >= w:
+            continue
         v = ((x << amt) & mw) if shl else (x >> amt)
         out |= v << (k * w)
     return out
@@ -549,6 +551,8 @@ def _kernel_shift(op, w, wa, lanes):
         for sh, sha in pairs:
             x = (a >> sh) & mw
             amt = (amount >> sha) & ma
+            if amt >= w:
+                continue
             v = ((x << amt) & mw) if shl else (x >> amt)
             out |= v << sh
         return out

@@ -285,10 +285,12 @@ def _pure_step(inst):
     if op in ("shl", "shr") and inst.type.is_int and \
             not ops[1].type.is_logic:
         a, b = opids
-        m = mask(inst.type.width)
+        w = inst.type.width
+        m = mask(w)
         if op == "shl":
             def step(env, act):
-                env[key] = (env[a] << env[b]) & m
+                amount = env[b]
+                env[key] = (env[a] << amount) & m if amount < w else 0
         else:
             def step(env, act):
                 env[key] = env[a] >> env[b]

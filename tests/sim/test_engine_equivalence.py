@@ -232,9 +232,10 @@ def test_fuzzed_stimulus_survives_lowering_to_netlist(name):
     pipeline and the technology mapper: under hostile nine-valued
     stimulus on the design's input nets (X/Z/W/L/H injections —
     including on clocks), the netlist-level design must trace-match the
-    behavioural run.  This is what pins the X-aware ``reg`` edge
-    semantics of the lowered registers to the behavioural eq/not/and
-    edge detectors.
+    behavioural run, under the interpreter and under the levelized cone
+    (whose generated gate code then takes its unknown-operand branches).
+    This is what pins the X-aware ``reg`` edge semantics of the lowered
+    registers to the behavioural eq/not/and edge detectors.
 
     Two-valued designs are comparable too: an ``iN`` net with several
     same-instant drivers has no resolution function, but since
@@ -272,19 +273,21 @@ def test_fuzzed_stimulus_survives_lowering_to_netlist(name):
                             exclude_names=exclude, phase_fs=phase)
     lower_to_structural(lowered, strict=False, verify=False)
     linked = netlist_design(lowered)
-    low = _fuzz_run(linked, DESIGNS[name].top, "interp")
+    for backend in ("interp", "levelized"):
+        low = _fuzz_run(linked, DESIGNS[name].top, backend)
 
-    # The engines must agree on whether the stimulus is fatal, and on
-    # the full trace when it is not.
-    assert (ref is None) == (low is None), \
-        f"{name}: only one of behavioural/netlist hit a runtime error"
-    if ref is None:
-        return
-    active = ref.trace.live_signals()
-    assert active <= set(low.trace.finalize().changes), \
-        f"{name}: live signals dropped at netlist level"
-    assert ref.trace.differences(low.trace) == []
-    assert ref.assertion_failures == low.assertion_failures
+        # The engines must agree on whether the stimulus is fatal, and
+        # on the full trace when it is not.
+        assert (ref is None) == (low is None), \
+            f"{name}/{backend}: only one of behavioural/netlist hit a " \
+            f"runtime error"
+        if ref is None:
+            continue
+        active = ref.trace.live_signals()
+        assert active <= set(low.trace.finalize().changes), \
+            f"{name}/{backend}: live signals dropped at netlist level"
+        assert ref.trace.differences(low.trace) == []
+        assert ref.assertion_failures == low.assertion_failures
 
 
 @pytest.mark.parametrize("seed", range(6))
