@@ -362,6 +362,37 @@ def netlist_cost_ratios(results):
     return out
 
 
+#: The per-lane cost targets of the K-lane batch rows, as a fraction of
+#: the scalar blaze cost: a committed ``batch_cost_ceilings`` entry never
+#: exceeds its target.
+BATCH_COST_TARGETS = {4: 1.0, 16: 0.5}
+
+
+def batch_cost_ratios(results):
+    """Per-design per-lane batch cost over the scalar blaze cost.
+
+    Returns ``{name: {"b<K>_lane_cost": ratio}}`` for the four-state
+    (``_l``) designs, for each K in :data:`BATCH_COST_TARGETS` with both
+    a ``blaze@b<K>`` and a ``blaze`` row.  Like the netlist ratios these
+    are machine-speed-free, so the gate compares them against committed
+    ceilings without normalization.
+    """
+    out = {}
+    for name, entry in results.items():
+        if not name.endswith("_l"):
+            continue
+        rows = entry["backends"]
+        blaze = rows.get("blaze", {}).get("per_cycle_us")
+        ratios = {}
+        for lanes in BATCH_COST_TARGETS:
+            batch = rows.get(f"blaze@b{lanes}", {}).get("per_cycle_us")
+            if blaze and batch:
+                ratios[f"b{lanes}_lane_cost"] = batch / blaze
+        if ratios:
+            out[name] = ratios
+    return out
+
+
 def baseline_from_results(results, meta=None, ceiling_headroom=0.5):
     """A flat committed-baseline document from one measurement set:
     ``designs.<name>.<engine> -> marginal us/cycle``, plus per-design
@@ -372,7 +403,10 @@ def baseline_from_results(results, meta=None, ceiling_headroom=0.5):
     tolerance because a ratio divides two *separately timed* legs — a
     load spike during either leg moves it both ways — while the failure
     mode it guards against (cells falling back to event-driven
-    execution) shifts ratios by 2–9x, far beyond any noise."""
+    execution) shifts ratios by 2–9x, far beyond any noise.  The
+    four-state designs also get ``batch_cost_ceilings``: the per-lane
+    batch/scalar ratio with the same headroom, capped at its
+    :data:`BATCH_COST_TARGETS` entry."""
     doc = {"designs": {}, "meta": dict(meta or {})}
     for name, entry in results.items():
         doc["designs"][name] = {
@@ -384,6 +418,15 @@ def baseline_from_results(results, meta=None, ceiling_headroom=0.5):
         for name, ratios in netlist_cost_ratios(results).items()}
     if ceilings:
         doc["netlist_cost_ceilings"] = ceilings
+    targets = {f"b{lanes}_lane_cost": target
+               for lanes, target in BATCH_COST_TARGETS.items()}
+    batch_ceilings = {
+        name: {key: round(min(ratio * (1.0 + ceiling_headroom),
+                              targets[key]), 2)
+               for key, ratio in ratios.items()}
+        for name, ratios in batch_cost_ratios(results).items()}
+    if batch_ceilings:
+        doc["batch_cost_ceilings"] = batch_ceilings
     return doc
 
 
@@ -402,7 +445,8 @@ def compare_to_baseline(results, baseline, tolerance=0.25, normalize=True):
     gated against its committed ceiling — an *absolute* check (the
     ratio already cancels machine speed), so a netlist engine that
     regresses relative to its behavioural reference fails even when
-    every individual cell drifts uniformly.
+    every individual cell drifts uniformly.  ``batch_cost_ceilings``
+    gate the per-lane batch/scalar ratios the same way.
     """
     import math
 
@@ -431,23 +475,32 @@ def compare_to_baseline(results, baseline, tolerance=0.25, normalize=True):
             flag = f"  REGRESSION (> {tolerance:.0%})"
         lines.append(
             f"  {name:18s} {engine:14s} {rel:6.2f}x vs baseline{flag}")
-    ceilings = baseline.get("netlist_cost_ceilings", {})
-    if ceilings:
-        measured = netlist_cost_ratios(results)
-        lines.append("netlist-cost ceilings (netlist/behavioural ratio, "
-                     "absolute):")
-        for name in sorted(measured):
-            for key, ratio in sorted(measured[name].items()):
-                ceiling = ceilings.get(name, {}).get(key)
-                if ceiling is None:
-                    continue
-                flag = ""
-                if ratio > ceiling:
-                    regressions.append((name, key, ratio / ceiling))
-                    flag = "  REGRESSION (above ceiling)"
-                lines.append(f"  {name:18s} {key:22s} {ratio:6.2f}x "
-                             f"(ceiling {ceiling:.2f}x){flag}")
+    for key, measure, title in (
+            ("netlist_cost_ceilings", netlist_cost_ratios,
+             "netlist-cost ceilings (netlist/behavioural ratio, absolute):"),
+            ("batch_cost_ceilings", batch_cost_ratios,
+             "batch-cost ceilings (per-lane batch/scalar ratio, absolute):")):
+        ceilings = baseline.get(key, {})
+        if ceilings:
+            lines.append(title)
+            _gate_ceilings(measure(results), ceilings, regressions, lines)
     return regressions, lines
+
+
+def _gate_ceilings(measured, ceilings, regressions, lines):
+    """Append every measured ratio above its committed ceiling to
+    ``regressions``, and one report line per gated ratio to ``lines``."""
+    for name in sorted(measured):
+        for key, ratio in sorted(measured[name].items()):
+            ceiling = ceilings.get(name, {}).get(key)
+            if ceiling is None:
+                continue
+            flag = ""
+            if ratio > ceiling:
+                regressions.append((name, key, ratio / ceiling))
+                flag = "  REGRESSION (above ceiling)"
+            lines.append(f"  {name:18s} {key:22s} {ratio:6.2f}x "
+                         f"(ceiling {ceiling:.2f}x){flag}")
 
 
 def _annotate_speedups(slot):

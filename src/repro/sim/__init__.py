@@ -23,7 +23,7 @@ compared for equivalence — the paper's "traces match" claim.
 from __future__ import annotations
 
 from .batch import (
-    BatchSimulationResult, BatchStimulus, demux_trace, simulate_batch,
+    BatchSimulationResult, BatchStimulus, demux_lanes, simulate_batch,
 )
 from .engine import Kernel, SignalInstance, SignalRef, advance_time
 from .trace import Trace
@@ -109,6 +109,6 @@ def simulate(module, top, until_fs=None, backend="interp",
 __all__ = [
     "BACKENDS", "BatchSimulationResult", "BatchStimulus", "Kernel",
     "SignalInstance", "SignalRef", "SimulationError", "SimulationResult",
-    "Trace", "advance_time", "default_value", "demux_trace", "simulate",
+    "Trace", "advance_time", "default_value", "demux_lanes", "simulate",
     "simulate_batch",
 ]

@@ -46,6 +46,15 @@ def parse_time_fs(text):
     return int(text)
 
 
+def lane_count(text):
+    """An argparse type: a batch lane count, at least 1."""
+    lanes = int(text)
+    if lanes < 1:
+        raise argparse.ArgumentTypeError(
+            f"a batch needs at least one lane, got {lanes}")
+    return lanes
+
+
 def _build_parser():
     from . import BACKENDS
 
@@ -99,7 +108,7 @@ def _build_parser():
              "findings (cross-checking repro.lint verdicts) instead of "
              "aborting the run")
     parser.add_argument(
-        "--batch", type=int, default=None, metavar="K",
+        "--batch", type=lane_count, default=None, metavar="K",
         help="simulate K lanes through one elaborated design; without "
              "--seed-stride every lane sees identical stimulus "
              "(vectorized fast path)")

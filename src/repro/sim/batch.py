@@ -25,6 +25,7 @@ scalar run.
 
 from __future__ import annotations
 
+from .lanes import is_uniform
 from .trace import Trace
 from .values import SimulationError, lane_extract
 
@@ -61,41 +62,63 @@ class BatchStimulus:
                         f"@{unit.name} signature differs from lane 0")
 
 
-def demux_trace(trace, types, lane, lanes, finish_fs=None,
-                finish_state=None):
-    """Extract one lane's scalar trace from a batched trace.
+def demux_lanes(trace, types, lanes, finish_fs, finish_state):
+    """Split a batched trace into one scalar trace per lane.
 
     ``types`` maps signal name -> element type (the lane stride is
     type-dependent).  Consecutive identical per-lane values collapse —
     a change on another lane is no change on this one — and changes
-    past the lane's own finish time are dropped (a finished lane's
-    scalar run records nothing after its final instant).  The batched
-    trace is per-fs last-wins, but the kernel kept running other lanes
-    through later delta rounds of the finish instant; ``finish_state``
-    (the kernel's snapshot at the moment the lane finished) supplies
-    the lane's true final values for that instant.
+    past a lane's own finish time (``finish_fs[k]``, absent for a lane
+    that never finished) are dropped (a finished lane's scalar run
+    records nothing after its final instant).  The batched trace is
+    per-fs last-wins, but the kernel kept running other lanes through
+    later delta rounds of the finish instant; ``finish_state[k]`` (the
+    kernel's snapshot at the moment lane k finished) supplies the
+    lane's true final values for that instant.  A lane-uniform value
+    is extracted once and shared by every lane's trace.
     """
-    out = Trace()
+    cuts = [finish_fs.get(k) for k in range(lanes)]
+    outs = [Trace() for _ in range(lanes)]
     for name, history in trace.finalize().changes.items():
         ty = types.get(name)
         if ty is None:
             continue
-        demuxed = []
+        per_lane = [[] for _ in range(lanes)]
         for fs, value in history:
-            if finish_fs is not None and fs >= finish_fs:
-                break
-            v = lane_extract(value, ty, lane, lanes)
-            if demuxed and demuxed[-1][1] == v:
-                continue
-            demuxed.append((fs, v))
-        if finish_fs is not None and finish_state is not None:
-            final = finish_state.get(name)
-            if final is not None:
-                v = lane_extract(final, ty, lane, lanes)
-                if not demuxed or demuxed[-1][1] != v:
-                    demuxed.append((finish_fs, v))
-        out.changes[name] = demuxed
-    return out
+            uniform = is_uniform(value, ty, lanes)
+            if uniform:
+                # Lanes that last appended the same object share one
+                # comparison with the shared value.
+                shared = lane_extract(value, ty, 0, lanes)
+                seen = equal = None
+            for k, demuxed in enumerate(per_lane):
+                cut = cuts[k]
+                if cut is not None and fs >= cut:
+                    continue
+                if not uniform:
+                    v = lane_extract(value, ty, k, lanes)
+                    if demuxed and demuxed[-1][1] == v:
+                        continue
+                    demuxed.append((fs, v))
+                    continue
+                if demuxed:
+                    last = demuxed[-1][1]
+                    if last is not seen:
+                        seen, equal = last, last == shared
+                    if equal:
+                        continue
+                demuxed.append((fs, shared))
+        for k, demuxed in enumerate(per_lane):
+            cut = cuts[k]
+            state = finish_state.get(k)
+            if cut is not None and state is not None:
+                final = state.get(name)
+                if final is not None:
+                    v = lane_extract(final, ty, k, lanes)
+                    if not demuxed or demuxed[-1][1] != v:
+                        demuxed.append((cut, v))
+            outs[k].changes[name] = demuxed
+    return outs
 
 
 class LaneResult:
@@ -142,6 +165,7 @@ class BatchSimulationResult:
         self.output = kernel.output
         self.stats = kernel.stats
         self._lane_cache = {}
+        self._lane_traces = None
 
     @property
     def final_time_fs(self):
@@ -171,13 +195,14 @@ class BatchSimulationResult:
                 list(kernel.assertion_failures), kernel.now[0],
                 kernel.stats)
         else:
+            if self._lane_traces is None:
+                self._lane_traces = demux_lanes(
+                    self.trace, self._signal_types(), self.lanes,
+                    kernel.lane_finish_fs, kernel.lane_finish_state)
             finish_fs = kernel.lane_finish_fs.get(k)
             final = finish_fs if finish_fs is not None else kernel.now[0]
             result = LaneResult(
-                k,
-                demux_trace(self.trace, self._signal_types(), k,
-                            self.lanes, finish_fs,
-                            kernel.lane_finish_state.get(k)),
+                k, self._lane_traces[k],
                 _lane_text(kernel.output, k),
                 _lane_text(kernel.assertion_failures, k),
                 final, kernel.stats)
@@ -241,10 +266,13 @@ def simulate_batch(module, top, lanes, until_fs=None, backend="interp",
     restarts from t=0 in replicated-process mode.  A
     :class:`BatchStimulus` supplies per-lane process variants and goes
     straight to replicated mode.  ``lanes == 1`` without stimulus is the
-    unmodified scalar pipeline.
+    unmodified scalar pipeline; ``lanes < 1`` is a :class:`SimulationError`.
     """
     from .lanes import LaneDivergence
 
+    if lanes < 1:
+        raise SimulationError(
+            f"a batch needs at least one lane, got {lanes}")
     batch_units = {}
     if stimulus is not None and stimulus.units:
         stimulus.validate(lanes)

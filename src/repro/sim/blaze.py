@@ -44,8 +44,8 @@ from .interp import (
     ProcessInstance,
 )
 from .lanes import (
-    evaluate_lanes, intrinsic_lanes, lane_default, lane_kernel,
-    path_of_lanes, u1, uindex, uindex_int,
+    SWAR_OPS, blend, evaluate_lanes, intrinsic_lanes, lane_default,
+    lane_kernel, path_of_lanes, swar_kernel, u1, uindex, uindex_int,
 )
 from .values import (
     SimulationError, default_value, extract_path, insert_path, lane_widen,
@@ -148,6 +148,7 @@ _BASE_GLOBALS = {
     "_extract": extract_path,
     "_insert": insert_path,
     "_parr": pack_array,
+    "_blend": blend,
     "_Sig": SignalInstance,
     "LogicVec": LogicVec,
     "TimeValue": TimeValue,
@@ -212,6 +213,13 @@ _INLINE_LOGIC_OPS.update(
     (op, ("0", known)) for op, known in _INLINE_CMP.items())
 _KEEPS_STRENGTH = frozenset({"zext", "sext", "trunc", "exts"})
 
+# The lN ops lane mode emits from the table above, behind the same
+# unknown-plane test: the bitwise templates are lane-exact as they stand
+# (at width W*K); the others run their iN lane kernel
+# (``lanes.swar_kernel``) on the val planes.
+_LANE_EXACT_LOGIC = frozenset({"and", "or", "xor", "not"})
+_LANE_LOGIC_OPS = _LANE_EXACT_LOGIC | (SWAR_OPS & frozenset(_INLINE_LOGIC_OPS))
+
 # Opcodes with no side effects: eligible for bind-time hoisting in
 # entities when every operand is already bound.
 _HOISTABLE_OPS = frozenset({
@@ -274,10 +282,7 @@ class UnitCompiler:
         self._counter = 0
         self._const_counter = 0
         self.code = _CodeBuffer()
-        # Mux/array fusion folds the selector into Python control flow;
-        # in lane mode selection is per-lane *data*, so keep the array
-        # and let the evaluator handle it value-wise.
-        self._elided = set() if lanes > 1 else self._elidable_mux_arrays()
+        self._elided = self._elidable_mux_arrays()
 
     def _all_instructions(self):
         unit = self.unit
@@ -291,7 +296,9 @@ class UnitCompiler:
 
         ``c ? a : b`` lowers to ``mux [b, a], c``; when the pair is
         private, the tuple build is fused into a Python conditional
-        expression (the instcombine LLVM would do for Blaze).
+        expression (the instcombine LLVM would do for Blaze).  In lane
+        mode ``c`` is a K-bit lane mask: all-ones and zero pick an arm
+        whole, and only a divergent mask blends the two per lane.
         """
         instructions = self._all_instructions()
         uses = {}
@@ -435,19 +442,29 @@ class UnitCompiler:
         Constant operands fold at compile time: a two-valued one drops
         out of the unknown test and contributes its ``val`` plane as a
         literal; an unknown one selects the unknown result outright.
+
+        In lane mode the operands are lane-widened vectors of width W*K.
+        The bitwise templates are lane-exact as they stand; every other
+        op of ``_LANE_LOGIC_OPS`` computes its known result with its iN
+        lane kernel on the ``val`` planes, which share the iN lane
+        stride (a compare returns the kernel's i1 lane mask), and a
+        vector with an unknown bit in any lane goes to ``_evl``.
         """
         op = inst.opcode
         ops = inst.operands
+        lanes = self.lanes
         unknown, known = _INLINE_LOGIC_OPS[op]
         planes = ("_unk", "_weak") if op in _KEEPS_STRENGTH else ("_unk",)
         w = ops[0].type.width if op in _INLINE_CMP else inst.type.width
-        fields = {"w": w, "m": hex(mask(w)),
+        fields = {"w": w * lanes, "m": hex(mask(w * lanes)),
                   "s": hex(1 << (ops[0].type.width - 1)),
                   "o": inst.attrs.get("offset")}
         tests = []
         for role, value in zip("ab", ops):
             name = self.name(value)
             const = _const_of(value)
+            if const is not None:
+                const = lane_widen(const, value.type, lanes)
             if not value.type.is_logic:
                 # The iN amount of a shift.
                 fields[role] = name if const is None else repr(const)
@@ -461,43 +478,55 @@ class UnitCompiler:
                 fields[role] = hex(const._val)
         fields["x"] = self.name(ops[0])
         fields["y"] = self.name(ops[1]) if len(ops) > 1 else None
-        if tests is None:
-            return unknown.format(**fields)
-        if op == "shl":
-            const = _const_of(ops[1])
-            if isinstance(const, LogicVec):
-                const = const._val
-            fields["b"] = _clamped_amount(fields["b"], const, w)
-        known = known.format(**fields)
+        if lanes > 1 and op not in _LANE_EXACT_LOGIC:
+            if tests is None:
+                return self._evl_expr(inst)
+            kern = self.runtime_const(swar_kernel(inst, lanes))
+            args = ", ".join(fields[role] for role in "ab"[:len(ops)])
+            known = f"{kern}({args})"
+            if inst.type.is_logic:
+                known = f"_lv2({known}, {inst.type.width * lanes})"
+            unknown = self._evl_expr(inst) if tests else None
+        else:
+            if tests is None:
+                return unknown.format(**fields)
+            if op == "shl":
+                const = _const_of(ops[1])
+                if isinstance(const, LogicVec):
+                    const = const._val
+                fields["b"] = _clamped_amount(fields["b"], const, w)
+            known = known.format(**fields)
+            unknown = unknown.format(**fields)
         if not tests:
             return known
-        return f"{unknown.format(**fields)} if {' | '.join(tests)} " \
-            f"else {known}"
+        return f"{unknown} if {' | '.join(tests)} else {known}"
 
     def _expr_lanes(self, inst):
         """RHS expression for a pure instruction over lane-widened values.
 
-        Bitwise table ops, aggregate (re)packing, and static projections
-        are lane-exact and stay inline; every other op dispatches to the
-        shared lane evaluator (`_evl`), which takes the uniform fast path
-        or loops per lane.
+        Bitwise ops, aggregate (re)packing, static projections and the
+        fused 2-way mux are lane-exact and stay inline.  ``iN``
+        arithmetic, compares, shifts and resizes call their lane kernel
+        (``lanes.lane_kernel``); their ``lN`` forms and ``lN`` slices
+        call the same kernel on the ``val`` planes after one
+        unknown-plane test (``_logic_expr``).  Every other op, and an
+        ``lN`` op with an unknown operand, dispatches to the shared lane
+        evaluator (`_evl`), which takes the uniform fast path or loops
+        per lane.
         """
         op = inst.opcode
         ops = inst.operands
         n = self.name
         if op == "const":
             return self.const_expr(inst)
+        if op in _LANE_LOGIC_OPS and ops[0].type.is_logic:
+            return self._logic_expr(inst)
         if op in ("and", "or", "xor"):
-            a, b = n(ops[0]), n(ops[1])
-            if ops[0].type.is_logic:
-                meth = {"and": "and_", "or": "or_", "xor": "xor"}[op]
-                return f"{a}.{meth}({b})"
             if ops[0].type.is_int:
+                a, b = n(ops[0]), n(ops[1])
                 sym = {"and": "&", "or": "|", "xor": "^"}[op]
                 return f"{a} {sym} {b}"
         elif op == "not":
-            if ops[0].type.is_logic:
-                return f"{n(ops[0])}.not_()"
             if inst.type.is_int:
                 m = mask(inst.type.width * self.lanes)
                 return f"(~{n(ops[0])}) & {hex(m)}"
@@ -529,6 +558,14 @@ class UnitCompiler:
             base, value = ops[0], ops[1]
             step = path_of_lanes(inst, self.lanes)
             return f"_insert({n(base)}, ({step!r},), {n(value)})"
+        elif op == "mux" and id(ops[0]) in self._elided:
+            f_val, t_val = (n(o) for o in ops[0].operands)
+            c = n(ops[1])
+            full = hex(lane_ones(1, self.lanes))
+            ty = self.runtime_const(inst.type)
+            return (f"({t_val} if {c} == {full} else {f_val} if not {c} "
+                    f"else _blend({f_val}, {t_val}, {c}, {ty}, "
+                    f"{self.lanes}))")
         elif op in ("add", "sub") and inst.type.is_int:
             # SWAR add/sub: carries/borrows cannot cross lane
             # boundaries once the per-lane MSB is cleared (add) or
@@ -547,7 +584,12 @@ class UnitCompiler:
         if kern is not None:
             args = ", ".join(n(o) for o in ops)
             return f"{self.runtime_const(kern)}({args})"
-        args = ", ".join(n(o) for o in ops)
+        return self._evl_expr(inst)
+
+    def _evl_expr(self, inst):
+        """A call of the shared lane evaluator on ``inst``'s operands."""
+        ops = inst.operands
+        args = ", ".join(self.name(o) for o in ops)
         tail = "," if len(ops) == 1 else ""
         return f"_evl({self.runtime_const(inst)}, ({args}{tail}))"
 

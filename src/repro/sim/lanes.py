@@ -626,6 +626,69 @@ def _kernel_mux(inst, w, ws, lanes):
     return f
 
 
+def _kernel_slice(offset, w, length, lanes):
+    mw = mask(w)
+    ml = mask(length)
+    ones = lane_ones(w, lanes)
+    ones_l = lane_ones(length, lanes)
+    pairs = tuple((k * w + offset, k * length) for k in range(lanes))
+
+    def f(a):
+        a0 = a & mw
+        if a == a0 * ones:
+            return ((a0 >> offset) & ml) * ones_l
+        out = 0
+        for sh, shl in pairs:
+            out |= ((a >> sh) & ml) << shl
+        return out
+    return f
+
+
+def _operand_width(inst, index):
+    return inst.operands[index].type.width
+
+
+#: The ``iN`` lane kernels by opcode, each built from the instruction's
+#: widths (and slice offset) and K.  An ``lN`` value uses the same lane
+#: stride as an ``iN`` one, so the kernels compute an ``lN`` op's known
+#: result on the ``val`` planes too (see ``blaze.UnitCompiler._logic_expr``).
+_SWAR_KERNELS = {
+    "add": lambda inst, k: _kernel_addsub("add", inst.type.width, k),
+    "sub": lambda inst, k: _kernel_addsub("sub", inst.type.width, k),
+    "mul": lambda inst, k: _kernel_mul(inst.type.width, k),
+    "shl": lambda inst, k: _kernel_shift(
+        "shl", inst.type.width, _operand_width(inst, 1), k),
+    "shr": lambda inst, k: _kernel_shift(
+        "shr", inst.type.width, _operand_width(inst, 1), k),
+    "exts": lambda inst, k: _kernel_slice(
+        inst.attrs["offset"], _operand_width(inst, 0), inst.type.width, k),
+}
+_SWAR_KERNELS.update(
+    (op, lambda inst, k: _kernel_resize(
+        inst.opcode, _operand_width(inst, 0), inst.type.width, k))
+    for op in ("zext", "sext", "trunc"))
+_SWAR_KERNELS.update(
+    (op, lambda inst, k: _kernel_compare(
+        inst.opcode, _operand_width(inst, 0), k))
+    for op in ("eq", "neq", "ult", "ugt", "ule", "uge",
+               "slt", "sgt", "sle", "sge"))
+SWAR_OPS = frozenset(_SWAR_KERNELS)
+
+
+def swar_kernel(inst, lanes):
+    """The ``iN`` lane kernel of an instruction's opcode and widths.
+
+    Returns ``fn(*operands) -> int`` over lane-strided ints, or ``None``
+    for an opcode without one.  The caller vouches for the operand
+    shape: plain ``iN`` words, or the ``val`` planes of two-valued
+    ``lN`` vectors.
+    """
+    build = _SWAR_KERNELS.get(inst.opcode)
+    if build is None:
+        return None
+    return build(inst, lanes)
+
+
 def lane_kernel(inst, lanes):
     """Compile one pure instruction to a specialized lane callable.
 
@@ -635,29 +698,15 @@ def lane_kernel(inst, lanes):
     code generator binds the callable as a compiled-code constant, so
     executing the op costs one call — no per-execution dispatch.
     """
-    op = inst.opcode
     ops = inst.operands
     ty = inst.type
-    if op in ("add", "sub"):
-        if ty.is_int:
-            return _kernel_addsub(op, ty.width, lanes)
-    elif op == "mul":
-        if ty.is_int:
-            return _kernel_mul(ty.width, lanes)
-    elif op in ("eq", "neq", "ult", "ugt", "ule", "uge",
-                "slt", "sgt", "sle", "sge"):
-        if ops[0].type.is_int:
-            return _kernel_compare(op, ops[0].type.width, lanes)
-    elif op in ("shl", "shr"):
-        if ty.is_int and ops[1].type.is_int:
-            return _kernel_shift(op, ty.width, ops[1].type.width, lanes)
-    elif op in ("zext", "sext", "trunc"):
-        if ty.is_int and ops[0].type.is_int:
-            return _kernel_resize(op, ops[0].type.width, ty.width, lanes)
-    elif op == "mux":
+    if inst.opcode == "mux":
         if ops[1].type.is_int:
             w = ty.width if ty.is_int else None
             return _kernel_mux(inst, w, ops[1].type.width, lanes)
+        return None
+    if ty.is_int and all(o.type.is_int for o in ops):
+        return swar_kernel(inst, lanes)
     return None
 
 
@@ -678,19 +727,26 @@ del _op
 def evaluate_lanes(inst, operands, lanes):
     """Evaluate one pure instruction over lane-widened operands.
 
-    Four tiers, checked in order:
+    ``const`` broadcasts; every other op takes the first of four tiers
+    that applies:
 
     1. bitwise ops (`and`/`or`/`xor`/`not`) are lane-exact on the widened
        planes — the same single integer expression as the scalar op;
-    2. the hot ``iN`` opcodes dispatch to a dedicated lane-exact fast
-       path (``_LANE_FAST``): O(1) SWAR arithmetic or a tight O(K)
-       integer loop, no per-lane extraction / re-packing;
+    2. ``_LANE_FAST``: ``iN`` add/sub, compares, shifts and resizes by
+       O(1) SWAR arithmetic or a tight O(K) integer loop, ``mux`` by a
+       lane-uniform or ``iN`` selector, and ``extf``/``insf`` by a
+       lane-uniform index and ``array``/``struct`` packing, which are
+       lane-transparent;
     3. when every operand is lane-uniform, evaluate once on lane 0 and
        broadcast (the identical-stimulus fast path);
     4. otherwise loop over lanes, evaluating the scalar op per lane —
        per-lane *data* divergence is handled exactly, and any per-lane
        error (division by zero, X selector) surfaces as the scalar run's
        :class:`SimulationError`.
+
+    Blaze lane-mode code reaches this only for ops it has no inline form
+    or kernel for, and for ``lN`` ops whose operands hold an unknown
+    (X/Z/U/W/-) or, for resizes and slices, a weak (L/H) bit.
     """
     op = inst.opcode
     if op == "const":

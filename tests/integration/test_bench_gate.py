@@ -66,3 +66,51 @@ def test_committed_baseline_covers_the_quick_subset():
         assert name in doc["designs"], name
         for engine in ("interp", "blaze"):
             assert doc["designs"][name].get(engine), (name, engine)
+
+
+BATCH_RESULTS = {
+    "gray_l": {"backends": {"blaze": {"per_cycle_us": 100.0},
+                            "blaze@b4": {"per_cycle_us": 40.0},
+                            "blaze@b16": {"per_cycle_us": 10.0}}},
+    "sorter_l": {"backends": {"blaze": {"per_cycle_us": 100.0},
+                              "blaze@b4": {"per_cycle_us": 90.0},
+                              "blaze@b16": {"per_cycle_us": 45.0}}},
+    "gray": {"backends": {"blaze": {"per_cycle_us": 100.0},
+                          "blaze@b4": {"per_cycle_us": 300.0}}},
+}
+
+
+def test_batch_cost_ceilings_cap_headroom_at_the_target():
+    """Each ceiling is the measured per-lane ratio plus 50% headroom,
+    but never above the per-lane target (b4 <= 1.0, b16 <= 0.5)."""
+    doc = baseline_from_results(BATCH_RESULTS)
+    assert doc["batch_cost_ceilings"] == {
+        "gray_l": {"b4_lane_cost": 0.6, "b16_lane_cost": 0.15},
+        "sorter_l": {"b4_lane_cost": 1.0, "b16_lane_cost": 0.5},
+    }
+
+
+def test_batch_cost_above_its_ceiling_is_flagged():
+    baseline = baseline_from_results(BATCH_RESULTS)
+    slower = json.loads(json.dumps(BATCH_RESULTS))
+    slower["gray_l"]["backends"]["blaze@b16"]["per_cycle_us"] = 20.0
+    regressions, lines = compare_to_baseline(slower, baseline)
+    assert [(n, key) for n, key, _ in regressions
+            if key.endswith("_lane_cost")] == [("gray_l", "b16_lane_cost")]
+    assert any("batch-cost ceilings" in line for line in lines)
+
+
+def test_committed_baseline_gates_every_four_state_batch():
+    """Every four-state design has committed per-lane batch ceilings
+    within the targets."""
+    from benchmarks.common import BATCH_COST_TARGETS
+    from repro.designs import ALL_DESIGNS
+
+    path = pathlib.Path(__file__).resolve().parents[2] / \
+        "BENCH_baseline.json"
+    ceilings = json.loads(path.read_text())["batch_cost_ceilings"]
+    four_state = [name for name in ALL_DESIGNS if name.endswith("_l")]
+    assert sorted(ceilings) == sorted(four_state)
+    for name in four_state:
+        for lanes, target in BATCH_COST_TARGETS.items():
+            assert 0 < ceilings[name][f"b{lanes}_lane_cost"] <= target

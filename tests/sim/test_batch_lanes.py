@@ -21,7 +21,9 @@ import pytest
 
 from repro.designs import ALL_DESIGNS, DESIGNS, compile_design
 from repro.ir import parse_module
-from repro.sim import BatchStimulus, simulate, simulate_batch
+from repro.sim import (
+    BatchStimulus, SimulationError, simulate, simulate_batch,
+)
 from repro.sim.lanes import LaneDivergence, u1, uindex
 
 from ..designs import SUITE_TEST_CYCLES as CYCLES
@@ -211,6 +213,26 @@ def test_single_live_lane_runs_to_its_own_finish(backend):
     _assert_lane_matches(ref, lane1, "surviving lane")
 
 
+def test_demux_lanes_collapses_repeats_and_cuts_at_each_finish():
+    """Lane 0 finishes at 20fs with final value 8 (the batched trace
+    records other lanes' later deltas at that instant); lane 1 runs
+    on.  A change on one lane is no change on the other."""
+    from repro.ir.types import int_type
+    from repro.sim import Trace, demux_lanes
+
+    def packed(lane0, lane1):
+        return lane0 | lane1 << 8
+
+    trace = Trace()
+    trace.changes["s"] = [(0, packed(5, 5)), (10, packed(5, 7)),
+                          (20, packed(7, 7)), (30, packed(9, 9))]
+    trace.changes["untyped"] = [(0, 1)]
+    lane0, lane1 = demux_lanes(
+        trace, {"s": int_type(8)}, 2, {0: 20}, {0: {"s": packed(8, 9)}})
+    assert lane0.changes == {"s": [(0, 5), (20, 8)]}
+    assert lane1.changes == {"s": [(0, 5), (10, 7), (30, 9)]}
+
+
 # -- degenerate batches -------------------------------------------------------
 
 
@@ -238,6 +260,26 @@ def test_single_lane_stimulus_batch_matches_scalar(backend):
     assert batch.mode == "replicated"
     ref = simulate(_divergent_module(1), "bt_top", backend=backend)
     _assert_lane_matches(ref, batch.lane(0), "single lane")
+
+
+@pytest.mark.parametrize("lanes", (0, -1))
+def test_non_positive_lane_counts_are_rejected(lanes):
+    module = compile_design("gray", cycles=8)
+    with pytest.raises(SimulationError, match="at least one lane"):
+        simulate_batch(module, DESIGNS["gray"].top, lanes)
+
+
+@pytest.mark.parametrize("lanes", ("0", "-2"))
+def test_cli_rejects_non_positive_batch(lanes, capsys):
+    from repro.sim.__main__ import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--design", "gray", "--cycles", "8", "--batch", lanes])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].endswith(
+        f"argument --batch: a batch needs at least one lane, got {lanes}")
 
 
 # -- uniformity guards --------------------------------------------------------
