@@ -2,7 +2,7 @@
 
 Paper columns: LLHD reference interpreter ("Int."), JIT-accelerated
 simulator ("JIT"), commercial simulator ("Comm." — here the independent
-cycle simulator, DESIGN.md substitution 1), over the ten evaluation
+cycle simulator, README "Substitutions" item 1), over the ten evaluation
 designs.  The claims being reproduced:
 
 * the interpreter is orders of magnitude slower than compiled simulation;

@@ -1,9 +1,9 @@
 """Shared helpers for the benchmark harness.
 
 Each ``bench_*`` file regenerates one table or figure of the paper's
-evaluation (see DESIGN.md section 2 for the index).  Absolute numbers are
+evaluation (the README, "Benchmarks", lists them).  Absolute numbers are
 Python-scale; the *shape* (who wins, by what factor) is what reproduces
-the paper — EXPERIMENTS.md records the comparison.
+the paper (README, "Substitutions", item 2).
 """
 
 from __future__ import annotations

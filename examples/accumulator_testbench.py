@@ -10,7 +10,7 @@ testbench.
 The Figure 2 testbench's `check` assertion is shown as the paper prints
 it but — like the paper, whose `llhd.assert` is marked "not yet
 implemented" — the self-check used here accounts for the accumulator's
-two-cycle pipeline latency (see DESIGN.md).
+two-cycle pipeline latency (see the README, "Substitutions", item 5).
 
 Run: ``python examples/accumulator_testbench.py``
 """

@@ -1,8 +1,8 @@
 """A minimal RV32I assembler.
 
 Used to build the instruction-memory images for the RISC-V core design
-(the paper evaluates on a full RISC-V processor; see DESIGN.md
-substitution 4).  Supports the instruction subset the core implements:
+(the paper evaluates on a full RISC-V processor; see the README,
+"Substitutions", item 4).  Supports the instruction subset the core implements:
 
 * R-type: add, sub, and, or, xor, sll, srl, slt, sltu
 * I-type: addi, andi, ori, xori, slti, slli, srli, jalr, lw

@@ -13,7 +13,6 @@ import sys
 from .instructions import Instruction, RegTrigger
 from .ninevalued import LogicVec
 from .types import Type
-from .units import UnitDecl
 from .values import Argument, Block, TimeValue, Use
 
 
@@ -62,13 +61,3 @@ def module_size(module):
     total += deep_size(module.units, seen)
     total += deep_size(module.declarations, seen)
     return total
-
-
-def module_size_breakdown(module):
-    """Per-unit in-memory sizes (shared types counted with the first unit
-    that references them)."""
-    seen = set()
-    breakdown = {}
-    for name, unit in module.units.items():
-        breakdown[name] = deep_size(unit, seen)
-    return breakdown

@@ -18,7 +18,7 @@ linker).
 
 from __future__ import annotations
 
-from .types import signal_type, void_type
+from .types import void_type
 from .values import Argument, Block
 
 
@@ -249,8 +249,3 @@ def entity_signature(unit):
     if isinstance(unit, UnitDecl):
         return unit.input_types, unit.output_types
     return ([a.type for a in unit.inputs], [a.type for a in unit.outputs])
-
-
-def make_signal_types(element_types):
-    """Convenience: wrap each element type into a signal type."""
-    return [signal_type(t) for t in element_types]

@@ -22,7 +22,8 @@ Width semantics are simplified relative to IEEE 1800: operands widen to
 the larger operand (zero- or sign-extended by signedness), assignments
 truncate/extend to the target; ``bit`` and ``logic`` both map to ``iN``
 (two-valued — the IR's nine-valued ``lN`` remains available through the
-builder API).  These deviations are documented in DESIGN.md.
+builder API).  These deviations are documented in the README,
+"Substitutions", item 3.
 """
 
 from __future__ import annotations

@@ -9,12 +9,11 @@ plus a levelized netlist engine:
   code objects ahead of simulation (the paper JIT-compiles to LLVM IR).
 * ``cycle`` — an independently implemented, statically scheduled
   compiled-code simulator standing in for the paper's commercial
-  simulator baseline (see DESIGN.md, substitution 1).
+  simulator baseline (see the README, "Substitutions", item 1).
 * ``levelized`` — ahead-of-time compiled execution of netlist designs:
   techmap library cells are levelized into straight-line generated
-  code (cached on disk, keyed by the module's bitcode hash) with
-  storage cells as sequential cut points; zero scheduler events per
-  gate (see :mod:`repro.sim.levelize`).
+  code with storage cells as sequential cut points; zero scheduler
+  events per gate (see :mod:`repro.sim.levelize`).
 
 All four produce :class:`~repro.sim.trace.Trace` objects that can be
 compared for equivalence — the paper's "traces match" claim.
@@ -61,15 +60,14 @@ class SimulationResult:
 
 
 def simulate(module, top, until_fs=None, backend="interp",
-             trace_filter=None, sanitize=False, cache_dir=None):
+             trace_filter=None, sanitize=False):
     """Elaborate and simulate ``module`` from entity ``top``.
 
     Returns a :class:`SimulationResult` whose trace records every signal
     value change (filtered by ``trace_filter(signal) -> bool`` if given).
     With ``sanitize=True`` the scheduler records drive races and
     oscillations as :class:`~repro.sim.sanitize.Finding` objects instead
-    of raising, exposed as ``result.findings``.  ``cache_dir`` overrides
-    the levelized engine's on-disk compile cache location.
+    of raising, exposed as ``result.findings``.
     """
     trace = Trace(trace_filter)
     if backend == "interp":
@@ -86,13 +84,9 @@ def simulate(module, top, until_fs=None, backend="interp",
 
         kernel = CycleKernel(trace=trace)
     elif backend == "levelized":
-        from .levelize import elaborate_levelized
+        from .levelize import elaborate_levelized as elaborator
 
         kernel = Kernel(trace=trace)
-
-        def elaborator(module, top, kernel, _dir=cache_dir):
-            return elaborate_levelized(module, top, kernel,
-                                       cache_dir=_dir)
     else:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}")

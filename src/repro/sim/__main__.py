@@ -84,10 +84,6 @@ def _build_parser():
              "lowering + technology mapping) before simulating; implied "
              "by --engine levelized")
     parser.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="levelized compile-cache directory (default: "
-             "$REPRO_CACHE_DIR, else ~/.cache/repro)")
-    parser.add_argument(
         "--until", metavar="TIME", default=None,
         help="stop at this time (e.g. 100ns, 2500 = fs)")
     parser.add_argument(
@@ -190,14 +186,10 @@ def _report(result, args):
         print(f"# finished at {result.final_time_fs}fs: "
               f"{stats['deltas']} deltas, {stats['events']} events, "
               f"{stats['activations']} activations", file=sys.stderr)
-        if "cache_hits" in stats:
-            print(f"# levelized cache: {stats['cache_hits']} hits, "
-                  f"{stats['cache_misses']} misses, "
-                  f"{stats['cache_errors']} errors; cone "
-                  f"{stats.get('cone_nets', 0)} nets / "
-                  f"{stats.get('cone_gates', 0)} gates / "
-                  f"{stats.get('cone_seqs', 0)} storage cells",
-                  file=sys.stderr)
+        if "cone_nets" in stats:
+            print(f"# levelized cone: {stats['cone_nets']} nets / "
+                  f"{stats['cone_gates']} gates / "
+                  f"{stats['cone_seqs']} storage cells", file=sys.stderr)
     if args.trace:
         trace = result.trace
         for name in trace.signals():
@@ -355,8 +347,7 @@ def main(argv=None):
             for backend in engines:
                 runs[backend] = simulate(
                     module, top, until_fs=until_fs, backend=backend,
-                    sanitize=args.sanitize and backend != "levelized",
-                    cache_dir=args.cache_dir)
+                    sanitize=args.sanitize and backend != "levelized")
             reference = runs["interp"]
             for backend in engines[1:]:
                 differences = reference.trace.differences(
@@ -372,8 +363,7 @@ def main(argv=None):
             result = runs.get(args.engine, runs["blaze"])
         else:
             result = simulate(module, top, until_fs=until_fs,
-                              backend=args.engine, sanitize=args.sanitize,
-                              cache_dir=args.cache_dir)
+                              backend=args.engine, sanitize=args.sanitize)
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

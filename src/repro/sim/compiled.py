@@ -1,4 +1,4 @@
-"""Code generation and the on-disk compile cache for levelized cones.
+"""Code generation for levelized cones.
 
 Two halves:
 
@@ -10,27 +10,11 @@ Two halves:
 * **cone modules** — :func:`generate_source` concatenates the gate
   recipes in levelized order into ``_settle_all(V)`` plus one
   specialized ``_settle_d<k>(V)`` per clock domain, each returning the
-  list of net slots it changed.  The module is self-contained given the
-  blaze runtime helper namespace and carries its own identity
-  (``KEY``/``N_NETS``/``ENGINE_VERSION``) for validation.
-
-Generated modules are cached on disk, content-addressed by the sha256
-of the module's bitcode (:func:`repro.ir.bitcode.write_module`) plus
-the top name and an engine-version salt — the levelization itself is
-deterministic (stable slot numbering, heap-ordered Kahn), so the same
-bitcode always regenerates the same source.  A warm run skips code
-generation entirely; a corrupted, stale, or truncated entry fails
-validation and falls back to a fresh compile that overwrites it.  The
-cache directory is ``--cache-dir``, else ``$REPRO_CACHE_DIR``, else
-``$XDG_CACHE_HOME/repro``, else ``~/.cache/repro``; writes are atomic
-(temp file + rename) and best-effort.
+  list of net slots it changed.  :func:`compile_cone` compiles and
+  executes that module against the blaze runtime helper namespace.
 """
 
 from __future__ import annotations
-
-import hashlib
-import os
-import tempfile
 
 from ..ir.instructions import Instruction
 from ..ir.ninevalued import LogicVec
@@ -38,10 +22,6 @@ from ..ir.values import TimeValue
 from .blaze import _BASE_GLOBALS, UnitCompiler
 from .eval import path_of
 from .values import SimulationError
-
-#: Bump to invalidate every cached cone (cache keys carry the salt).
-ENGINE_VERSION = 2
-
 
 class TemplateError(Exception):
     """The cell body cannot be turned into a straight-line recipe."""
@@ -191,16 +171,9 @@ def _emit_settle(buf, name, gates, members=None):
     buf.append("    return ch")
 
 
-def generate_source(plan, key):
+def generate_source(plan):
     """The cone as a self-contained Python module (one string)."""
     buf = []
-    buf.append("# Levelized cone generated by repro.sim.compiled.")
-    buf.append("# Safe to delete; regenerated on the next cold run.")
-    buf.append(f"ENGINE_VERSION = {ENGINE_VERSION}")
-    buf.append(f"KEY = {key!r}")
-    buf.append(f"N_NETS = {len(plan.slot_sigs)}")
-    buf.append(f"N_GATES = {len(plan.gates)}")
-    buf.append("")
     _emit_settle(buf, "_settle_all", plan.gates)
     for di, (slot, covered, members) in enumerate(plan.domains):
         buf.append("")
@@ -219,95 +192,13 @@ def generate_source(plan, key):
     return "\n".join(buf)
 
 
-# -- the content-addressed cache -----------------------------------------------
-
-
-def default_cache_dir():
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return env
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    if xdg:
-        return os.path.join(xdg, "repro")
-    return os.path.join(os.path.expanduser("~"), ".cache", "repro")
-
-
-def cone_cache_key(module, top):
-    """sha256 over the module bitcode, the top, and the version salt."""
-    from ..ir.bitcode import write_module
-
-    digest = hashlib.sha256()
-    digest.update(f"levelized:{ENGINE_VERSION}:{top}:".encode())
-    digest.update(write_module(module))
-    return digest.hexdigest()
-
-
-def _load(source, key, n_nets):
-    """Exec a cone module; None when it fails validation."""
+def compile_cone(plan):
+    """The cone module's executable namespace."""
     ns = dict(_BASE_GLOBALS)
     try:
-        exec(compile(source, "<levelized-cone>", "exec"), ns)
-    except Exception:
-        return None
-    if (ns.get("ENGINE_VERSION") != ENGINE_VERSION
-            or ns.get("KEY") != key
-            or ns.get("N_NETS") != n_nets
-            or not callable(ns.get("_settle_all"))
-            or not isinstance(ns.get("DOMAINS"), tuple)):
-        return None
-    return ns
-
-
-def _store(path, source):
-    """Atomic best-effort write (temp file + rename)."""
-    try:
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(source)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-    except OSError:
-        pass   # a read-only or full cache never fails the simulation
-
-
-def _count(stats, hits, misses, errors):
-    stats["cache_hits"] = stats.get("cache_hits", 0) + hits
-    stats["cache_misses"] = stats.get("cache_misses", 0) + misses
-    stats["cache_errors"] = stats.get("cache_errors", 0) + errors
-
-
-def compile_cone(plan, module, top, cache_dir, stats):
-    """The cone's executable namespace, via the cache when possible."""
-    key = cone_cache_key(module, top)
-    directory = cache_dir or default_cache_dir()
-    path = os.path.join(directory, f"{key}.py")
-    n_nets = len(plan.slot_sigs)
-    errors = 0
-    try:
-        with open(path) as fh:
-            cached = fh.read()
-    except OSError:
-        cached = None
-    if cached is not None:
-        ns = _load(cached, key, n_nets)
-        if ns is not None:
-            _count(stats, 1, 0, 0)
-            return ns
-        errors = 1
-    source = generate_source(plan, key)
-    ns = _load(source, key, n_nets)
-    if ns is None:
+        exec(compile(generate_source(plan), "<levelized-cone>", "exec"), ns)
+    except Exception as exc:
         raise SimulationError(
             "levelized: generated cone module failed to compile "
-            "(this is a bug in repro.sim.compiled)")
-    _store(path, source)
-    _count(stats, 0, 1, errors)
+            f"(this is a bug in repro.sim.compiled): {exc}") from exc
     return ns

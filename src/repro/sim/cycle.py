@@ -1,7 +1,7 @@
 """An independently implemented compiled-code simulator.
 
 This is the repository's stand-in for the *commercial simulator* column of
-the paper's Table 2 (see DESIGN.md, substitution 1).  Commercial
+the paper's Table 2 (see the README, "Substitutions", item 1).  Commercial
 simulators are compiled-code simulators with statically prepared
 scheduling; this module follows that architecture:
 

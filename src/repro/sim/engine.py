@@ -292,13 +292,6 @@ class SignalRef:
         return f"<signal-ref {self.signal.name}{list(self.path)}>"
 
 
-def as_signal_ref(target):
-    """Normalize a SignalInstance or SignalRef to (signal, path)."""
-    if isinstance(target, SignalRef):
-        return target.signal.find(), target.path
-    return target.find(), ()
-
-
 class Kernel:
     """The event queue and the simulation main loop.
 

@@ -32,18 +32,17 @@ marginal cost shrinks roughly by 1/K.
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 
 from ..ir.ninevalued import (
-    LogicVec, expand_lane_mask, lane_blend, lane_broadcast, lane_ones,
-    lane_slice, lane_splice, lane_uniform,
+    LogicVec, expand_lane_mask, lane_blend, lane_ones, lane_slice,
+    lane_uniform,
 )
-from ..ir.types import bit_width
-from ..ir.values import TimeValue
 from .eval import evaluate, logic_level
 from .values import (
     PackedLogicArray, SimulationError, default_value, mask,
-    lane_extract as lane_get, lane_insert as lane_set,
-    lane_stride as stride, lane_widen as broadcast,
+    lane_extract as lane_get, lane_stride as stride,
+    lane_widen as broadcast,
 )
 
 
@@ -190,17 +189,15 @@ def uindex_int(value, width, lanes):
 
 _BITWISE_INT = {"and": int.__and__, "or": int.__or__, "xor": int.__xor__}
 
-# Lane-exact fast paths for the hot ``iN`` opcodes.  The generic tiers
-# below are correct for every op but cost ~15 Python calls per
-# instruction (uniformity probes, per-lane extraction, scalar
-# evaluation, re-packing); on the opcodes that dominate compiled
-# processes — add/sub, compares, shifts, resizes, mux — that overhead
-# is the entire batch runtime.  Each function here computes the same
-# result as the scalar evaluator applied per lane, using O(1) SWAR
-# plane arithmetic where the op allows it and a tight O(K) integer
-# loop otherwise, and returns ``None`` to defer to the generic tiers
-# for the operand shapes it does not cover (``lN`` values, enums,
-# divergent selectors on aggregate types).
+# Lane-exact fast paths for the hot opcodes.  The generic tiers below
+# are correct for every op but cost ~15 Python calls per instruction
+# (uniformity probes, per-lane extraction, scalar evaluation,
+# re-packing); on the opcodes that dominate compiled processes —
+# arithmetic, compares, shifts, resizes, mux — that overhead is the
+# entire batch runtime.  Each function here computes the same result as
+# the scalar evaluator applied per lane, and returns ``None`` to defer
+# to the generic tiers for the operand shapes it does not cover (``lN``
+# values, enums, divergent selectors on aggregate types).
 
 _REL_OPS = {
     "lt": operator.lt, "gt": operator.gt,
@@ -208,142 +205,14 @@ _REL_OPS = {
 }
 
 
-def _lanes_addsub(inst, operands, lanes):
-    # SWAR add/sub: clearing (add) or presetting (sub) the per-lane MSB
-    # keeps carries/borrows from crossing lane boundaries; the MSB is
-    # then patched via XOR.  Exact for every width including w == 1.
-    ty = inst.type
-    if not ty.is_int:
-        return None
-    w = ty.width
-    a, b = operands
-    ones = lane_ones(w, lanes)
-    high = (1 << (w - 1)) * ones
-    low = (mask(w) * ones) ^ high
-    if inst.opcode == "add":
-        return ((a & low) + (b & low)) ^ ((a ^ b) & high)
-    return ((a | high) - (b & low)) ^ ((a ^ b) & high) ^ high
-
-
-def _lanes_compare(inst, operands, lanes):
-    ty = inst.operands[0].type
-    if not ty.is_int:
-        return None
-    w = ty.width
-    a, b = operands
-    mw = mask(w)
-    ones = lane_ones(w, lanes)
-    a0 = a & mw
-    b0 = b & mw
-    op = inst.opcode
-    half = 1 << (w - 1)
-    span = 1 << w
-    if a == a0 * ones and b == b0 * ones:
-        if op == "eq":
-            hit = a0 == b0
-        elif op == "neq":
-            hit = a0 != b0
-        else:
-            if op[0] == "s":
-                if a0 & half:
-                    a0 -= span
-                if b0 & half:
-                    b0 -= span
-            hit = _REL_OPS[op[1:]](a0, b0)
-        return lane_ones(1, lanes) if hit else 0
-    out = 0
-    if op == "eq" or op == "neq":
-        want_equal = op == "eq"
-        for k in range(lanes):
-            sh = k * w
-            if ((((a >> sh) ^ (b >> sh)) & mw) == 0) == want_equal:
-                out |= 1 << k
-        return out
-    rel = _REL_OPS[op[1:]]
-    if op[0] == "s":
-        for k in range(lanes):
-            sh = k * w
-            x = (a >> sh) & mw
-            y = (b >> sh) & mw
-            if x & half:
-                x -= span
-            if y & half:
-                y -= span
-            if rel(x, y):
-                out |= 1 << k
-    else:
-        for k in range(lanes):
-            sh = k * w
-            if rel((a >> sh) & mw, (b >> sh) & mw):
-                out |= 1 << k
-    return out
-
-
-def _lanes_shift(inst, operands, lanes):
-    ty = inst.type
-    aty = inst.operands[1].type
-    if not ty.is_int or not aty.is_int:
-        return None
-    w = ty.width
-    a, amount = operands
-    wa = aty.width
-    amt0 = amount & mask(wa)
-    shl = inst.opcode == "shl"
-    if amount == amt0 * lane_ones(wa, lanes):
-        if amt0 >= w:
-            return 0
-        keep = mask(w - amt0) * lane_ones(w, lanes)
-        if shl:
-            return (a & keep) << amt0
-        return (a >> amt0) & keep
-    mw = mask(w)
-    ma = mask(wa)
-    out = 0
-    for k in range(lanes):
-        x = (a >> (k * w)) & mw
-        amt = (amount >> (k * wa)) & ma
-        if amt >= w:
-            continue
-        v = ((x << amt) & mw) if shl else (x >> amt)
-        out |= v << (k * w)
-    return out
-
-
-def _lanes_resize(inst, operands, lanes):
-    sty = inst.operands[0].type
-    ty = inst.type
-    if not ty.is_int or not sty.is_int:
-        return None
-    w, wd = sty.width, ty.width
-    a = operands[0]
-    mw = mask(w)
-    a0 = a & mw
-    op = inst.opcode
-    half = 1 << (w - 1)
-    ext = mask(wd) ^ (mask(wd) & mw)
-    if a == a0 * lane_ones(w, lanes):
-        if op == "trunc":
-            v = a0 & mask(wd)
-        elif op == "sext" and a0 & half:
-            v = a0 | ext
-        else:
-            v = a0
-        return v * lane_ones(wd, lanes)
-    out = 0
-    if op == "trunc":
-        md = mask(wd)
-        for k in range(lanes):
-            out |= ((a >> (k * w)) & md) << (k * wd)
-    elif op == "sext":
-        for k in range(lanes):
-            x = (a >> (k * w)) & mw
-            if x & half:
-                x |= ext
-            out |= x << (k * wd)
-    else:
-        for k in range(lanes):
-            out |= ((a >> (k * w)) & mw) << (k * wd)
-    return out
+def _lanes_swar(inst, operands, lanes):
+    # The same ``iN`` kernels blaze lane mode binds.  A SWAR op's first
+    # operand has the result's type (arithmetic, shifts) or is typed
+    # like its last operand (compares; resizes and slices have only
+    # one), so these two checks cover every operand.
+    if inst.type.is_int and inst.operands[-1].type.is_int:
+        return swar_kernel(inst, lanes)(*operands)
+    return None
 
 
 def _lanes_mux(inst, operands, lanes):
@@ -439,9 +308,19 @@ def _lanes_struct(inst, operands, lanes):
     return tuple(operands)
 
 
-# -- per-instruction specialized kernels (Blaze lane-mode codegen) ------------
+# -- per-instruction specialized kernels --------------------------------------
+#
+# Each builder is pure in its arguments (opcode, widths, K), so one
+# kernel serves every instruction of that shape.  Each kernel uses O(1)
+# SWAR arithmetic where the op allows it, and a tight O(K) integer loop
+# otherwise.
 
+
+@lru_cache(maxsize=1024)
 def _kernel_addsub(op, w, lanes):
+    # Clearing (add) or presetting (sub) the per-lane MSB keeps carries
+    # and borrows from crossing lane boundaries; the MSB is then patched
+    # via XOR.  Exact for every width including w == 1.
     ones = lane_ones(w, lanes)
     high = (1 << (w - 1)) * ones
     low = (mask(w) * ones) ^ high
@@ -454,6 +333,7 @@ def _kernel_addsub(op, w, lanes):
     return f
 
 
+@lru_cache(maxsize=1024)
 def _kernel_mul(w, lanes):
     mw = mask(w)
     ones = lane_ones(w, lanes)
@@ -471,6 +351,7 @@ def _kernel_mul(w, lanes):
     return f
 
 
+@lru_cache(maxsize=1024)
 def _kernel_compare(op, w, lanes):
     mw = mask(w)
     ones = lane_ones(w, lanes)
@@ -530,6 +411,7 @@ def _kernel_compare(op, w, lanes):
     return f
 
 
+@lru_cache(maxsize=1024)
 def _kernel_shift(op, w, wa, lanes):
     mw = mask(w)
     ma = mask(wa)
@@ -559,6 +441,7 @@ def _kernel_shift(op, w, wa, lanes):
     return f
 
 
+@lru_cache(maxsize=1024)
 def _kernel_resize(op, w, wd, lanes):
     mw = mask(w)
     md = mask(wd)
@@ -626,6 +509,7 @@ def _kernel_mux(inst, w, ws, lanes):
     return f
 
 
+@lru_cache(maxsize=1024)
 def _kernel_slice(offset, w, length, lanes):
     mw = mask(w)
     ml = mask(length)
@@ -710,18 +594,9 @@ def lane_kernel(inst, lanes):
     return None
 
 
-_LANE_FAST = {
-    "add": _lanes_addsub, "sub": _lanes_addsub,
-    "shl": _lanes_shift, "shr": _lanes_shift,
-    "zext": _lanes_resize, "sext": _lanes_resize, "trunc": _lanes_resize,
-    "mux": _lanes_mux,
-    "extf": _lanes_extf, "insf": _lanes_insf,
-    "array": _lanes_array, "struct": _lanes_struct,
-}
-for _op in ("eq", "neq", "ult", "ugt", "ule", "uge",
-            "slt", "sgt", "sle", "sge"):
-    _LANE_FAST[_op] = _lanes_compare
-del _op
+_LANE_FAST = dict.fromkeys(SWAR_OPS, _lanes_swar)
+_LANE_FAST.update(mux=_lanes_mux, extf=_lanes_extf, insf=_lanes_insf,
+                  array=_lanes_array, struct=_lanes_struct)
 
 
 def evaluate_lanes(inst, operands, lanes):
@@ -732,8 +607,8 @@ def evaluate_lanes(inst, operands, lanes):
 
     1. bitwise ops (`and`/`or`/`xor`/`not`) are lane-exact on the widened
        planes — the same single integer expression as the scalar op;
-    2. ``_LANE_FAST``: ``iN`` add/sub, compares, shifts and resizes by
-       O(1) SWAR arithmetic or a tight O(K) integer loop, ``mux`` by a
+    2. ``_LANE_FAST``: ``iN`` arithmetic, compares, shifts, resizes and
+       slices by their lane kernels (:func:`swar_kernel`), ``mux`` by a
        lane-uniform or ``iN`` selector, and ``extf``/``insf`` by a
        lane-uniform index and ``array``/``struct`` packing, which are
        lane-transparent;

@@ -18,8 +18,7 @@ This engine removes the scheduler from the combinational cone entirely:
   Tarjan SCC machinery ``repro.lint.loops`` uses and evaluated by
   fixpoint iteration instead (the design stays runnable);
 * :mod:`repro.sim.compiled` emits the ordered cone as one generated
-  Python function per clock domain (plus a full-cone fallback), cached
-  on disk keyed by the module's bitcode hash;
+  Python function per clock domain (plus a full-cone fallback);
 * at simulation time a single cone activity — always ordered *after*
   every process and fallback entity — wakes on any cone net change,
   settles the whole cone in-place, and commits the changed nets
@@ -233,7 +232,7 @@ def _build_plan(design):
 
     # Kahn's algorithm over the gate-to-gate dependency edges; storage
     # roots and external nets are sources.  The ready heap keeps the
-    # order deterministic (and therefore cache-stable).
+    # order deterministic.
     n = len(raw_gates)
     consumers = {}
     for gi, (_t, in_slots, _o) in enumerate(raw_gates):
@@ -510,9 +509,8 @@ class _Cone:
 class LevelizedDesign(BlazeDesign):
     """A compiled design whose library cells are absorbed into a cone."""
 
-    def __init__(self, module, top, kernel, cache_dir=None, analysis=False):
+    def __init__(self, module, top, kernel, analysis=False):
         super().__init__(module, top, kernel, 1, False, None)
-        self.cache_dir = cache_dir
         self.analysis = analysis
         self._cell_forms = {}       # id(unit) -> eval form or None
         self._cell_templates = {}   # id(unit) -> template | TemplateError
@@ -595,9 +593,7 @@ class LevelizedDesign(BlazeDesign):
             return
         from .compiled import compile_cone
 
-        ns = compile_cone(plan, self.module, self.top.name,
-                          self.cache_dir, stats)
-        self.cone = _Cone(self, plan, ns)
+        self.cone = _Cone(self, plan, compile_cone(plan))
 
 
 class LevelizedEntityInstance(BlazeEntityInstance):
@@ -623,7 +619,7 @@ LevelizedDesign.entity_class = LevelizedEntityInstance
 
 
 def elaborate_levelized(module, top, kernel=None, trace=None,
-                        cache_dir=None, analysis=False):
+                        analysis=False):
     """Elaborate ``module`` for levelized execution.
 
     ``analysis=True`` builds the absorption report and the plan but
@@ -644,8 +640,7 @@ def elaborate_levelized(module, top, kernel=None, trace=None,
         raise SimulationError(f"top unit @{top} is not defined")
     if not unit.is_entity:
         raise SimulationError(f"top unit @{top} must be an entity")
-    design = LevelizedDesign(module, unit, kernel, cache_dir=cache_dir,
-                             analysis=analysis)
+    design = LevelizedDesign(module, unit, kernel, analysis=analysis)
     ports = {}
     for arg in unit.args:
         sig = design.create_signal(

@@ -4,15 +4,20 @@ The 22-design staged harness (test_semantic_preservation) already holds
 the levelized engine to byte-identical traces at the netlist level; the
 tests here pin down the corners: latch cells, register-cut feedback,
 multi-clock-domain cones, zero-delay combinational cycles, per-cell
-event-driven fallbacks, the multi-driver diagnosis, and the on-disk
-compile cache (cold/warm/corrupted/stale).
+event-driven fallbacks, the multi-driver diagnosis, that a run writes
+no files, and the determinism of the lowered netlist across processes.
 """
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.ir import parse_module
 from repro.sim import SimulationError, simulate
-from repro.sim.compiled import ENGINE_VERSION, cone_cache_key
 from repro.sim.levelize import elaborate_levelized
 
 # A transparent-high latch cell: the storage cell techmap emits for a
@@ -265,18 +270,18 @@ entity @top () -> () {
 """
 
 
-def _run_both(source, top="top", until_fs=None, cache_dir=None):
+def _run_both(source, top="top", until_fs=None):
     """Simulate under interp and levelized; assert identical traces."""
     ref = simulate(parse_module(source), top, until_fs=until_fs)
     res = simulate(parse_module(source), top, until_fs=until_fs,
-                   backend="levelized", cache_dir=cache_dir)
+                   backend="levelized")
     assert ref.trace.differences(res.trace) == []
     assert res.assertion_failures == ref.assertion_failures
     return res
 
 
-def test_latch_cell_absorbed(tmp_path):
-    res = _run_both(_LATCH, cache_dir=str(tmp_path))
+def test_latch_cell_absorbed():
+    res = _run_both(_LATCH)
     report = res.design.report
     assert report["seqs"] == 1
     assert report["fallbacks"] == []
@@ -285,8 +290,8 @@ def test_latch_cell_absorbed(tmp_path):
     assert history[-1][1] == 42
 
 
-def test_register_cut_feedback_levelizes(tmp_path):
-    res = _run_both(_TOGGLE, until_fs=20_000_000, cache_dir=str(tmp_path))
+def test_register_cut_feedback_levelizes():
+    res = _run_both(_TOGGLE, until_fs=20_000_000)
     report = res.design.report
     assert report["gates"] == 1 and report["seqs"] == 1
     assert report["cycles"] == []
@@ -295,9 +300,8 @@ def test_register_cut_feedback_levelizes(tmp_path):
     assert len(history) > 4
 
 
-def test_multi_clock_domains(tmp_path):
-    res = _run_both(_TWO_CLOCKS, until_fs=30_000_000,
-                    cache_dir=str(tmp_path))
+def test_multi_clock_domains():
+    res = _run_both(_TWO_CLOCKS, until_fs=30_000_000)
     cone = res.design.cone
     assert len(cone.domains) == 2
     # Each domain's specialized function covers strictly fewer gates
@@ -306,8 +310,8 @@ def test_multi_clock_domains(tmp_path):
         assert len(covered) < len(cone.slot_sigs)
 
 
-def test_combinational_cycle_diagnosed_and_settled(tmp_path):
-    res = _run_both(_SR_LATCH, cache_dir=str(tmp_path))
+def test_combinational_cycle_diagnosed_and_settled():
+    res = _run_both(_SR_LATCH)
     report = res.design.report
     assert report["cycles"], "cross-coupled NORs must be diagnosed"
     assert any("top.q" in members for members in report["cycles"])
@@ -315,8 +319,8 @@ def test_combinational_cycle_diagnosed_and_settled(tmp_path):
     assert history[-1][1] == 0  # reset won
 
 
-def test_nonzero_delay_cell_falls_back(tmp_path):
-    res = _run_both(_SLOW_CELL, cache_dir=str(tmp_path))
+def test_nonzero_delay_cell_falls_back():
+    res = _run_both(_SLOW_CELL)
     fallbacks = res.design.fallback_cells
     assert len(fallbacks) == 1
     path, reason = fallbacks[0]
@@ -326,8 +330,7 @@ def test_nonzero_delay_cell_falls_back(tmp_path):
 
 def test_multi_driven_net_raises():
     with pytest.raises(SimulationError, match="more than one"):
-        simulate(parse_module(_MULTI_DRIVER), "top", backend="levelized",
-                 cache_dir=None)
+        simulate(parse_module(_MULTI_DRIVER), "top", backend="levelized")
 
 
 def test_sanitize_rejected():
@@ -336,54 +339,67 @@ def test_sanitize_rejected():
                  backend="levelized", sanitize=True)
 
 
-# -- the compile cache ---------------------------------------------------------
-
-
-def _cache_file(source, tmp_path):
-    module = parse_module(source)
-    return tmp_path / f"{cone_cache_key(module, 'top')}.py"
-
-
-def test_cache_cold_then_warm(tmp_path):
-    cold = _run_both(_TOGGLE, until_fs=8_000_000, cache_dir=str(tmp_path))
-    assert cold.stats["cache_misses"] == 1
-    assert cold.stats["cache_hits"] == 0
-    entry = _cache_file(_TOGGLE, tmp_path)
-    assert entry.exists()
-    warm = _run_both(_TOGGLE, until_fs=8_000_000, cache_dir=str(tmp_path))
-    assert warm.stats["cache_hits"] == 1
-    assert warm.stats["cache_misses"] == 0
-    assert warm.stats["cache_errors"] == 0
-
-
-def test_corrupted_cache_entry_recompiles(tmp_path):
-    _run_both(_TOGGLE, until_fs=8_000_000, cache_dir=str(tmp_path))
-    entry = _cache_file(_TOGGLE, tmp_path)
-    entry.write_text("this is not (((valid python")
-    res = _run_both(_TOGGLE, until_fs=8_000_000, cache_dir=str(tmp_path))
-    assert res.stats["cache_errors"] == 1
-    assert res.stats["cache_misses"] == 1
-    # The fresh compile overwrote the corrupted entry.
-    assert "not (((valid" not in entry.read_text()
-
-
-def test_stale_engine_version_recompiles(tmp_path):
-    _run_both(_TOGGLE, until_fs=8_000_000, cache_dir=str(tmp_path))
-    entry = _cache_file(_TOGGLE, tmp_path)
-    stale = entry.read_text().replace(
-        f"ENGINE_VERSION = {ENGINE_VERSION}", "ENGINE_VERSION = 0")
-    entry.write_text(stale)
-    res = _run_both(_TOGGLE, until_fs=8_000_000, cache_dir=str(tmp_path))
-    assert res.stats["cache_errors"] == 1
-    assert res.stats["cache_misses"] == 1
-
-
-def test_analysis_mode_skips_codegen(tmp_path):
+def test_analysis_mode_skips_codegen():
     design = elaborate_levelized(parse_module(_TOGGLE), "top",
-                                 cache_dir=str(tmp_path), analysis=True)
+                                 analysis=True)
     assert design.cone is None
     assert design.report["gates"] == 1
-    assert not list(tmp_path.iterdir())  # nothing written
+
+
+# -- side effects and determinism ---------------------------------------------
+
+
+def test_levelized_run_writes_no_files(tmp_path, monkeypatch):
+    for var in ("HOME", "XDG_CACHE_HOME", "REPRO_CACHE_DIR"):
+        monkeypatch.setenv(var, str(tmp_path))
+    res = simulate(parse_module(_TOGGLE), "top", until_fs=8_000_000,
+                   backend="levelized")
+    assert res.design.cone is not None
+    assert list(tmp_path.iterdir()) == []
+
+
+_NETLIST_DIGESTS = """
+import hashlib, sys
+from repro.designs import compile_design
+from repro.interop import netlist_design
+from repro.ir.bitcode import write_module
+from repro.passes import lower_to_structural
+
+for name in sys.argv[2:]:
+    for _ in range(int(sys.argv[1])):
+        module = compile_design(name, cycles=4)
+        lower_to_structural(module, strict=False)
+        bitcode = write_module(netlist_design(module))
+        print(name, hashlib.sha256(bitcode).hexdigest())
+"""
+
+
+def _netlist_digests(hash_seed, repeats, names):
+    src = Path(__file__).resolve().parents[2] / "src"
+    path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run(
+        [sys.executable, "-c", _NETLIST_DIGESTS, str(repeats), *names],
+        env=env, capture_output=True, text=True, check=True, timeout=300)
+    return out.stdout.splitlines()
+
+
+def test_netlist_bitcode_is_stable_across_processes():
+    # Deseq orders DNF terms and reg triggers by creation serial
+    # (ir.Value.serial), never by id() or hash order, so the lowered
+    # netlist is the same bytes in every process and on every compile.
+    # Object addresses differ between compiles in one process as well,
+    # and an id()-ordered sort changes riscv_l's netlist on about one
+    # compile in three, hence the repeats.
+    names = ("riscv_l", "sorter_l")
+    lines = _netlist_digests(1, 6, names) + _netlist_digests(2, 6, names)
+    digests = {}
+    for line in lines:
+        name, digest = line.split()
+        digests.setdefault(name, set()).add(digest)
+    assert {name: len(found) for name, found in digests.items()} == \
+        {"riscv_l": 1, "sorter_l": 1}
 
 
 # -- reach accounting and CLI --------------------------------------------------
@@ -397,30 +413,28 @@ def test_netlist_engine_report_lists_levelized():
     assert notes == []
 
 
-def test_cli_levelized_stats_and_cache(tmp_path, capsys):
+def test_cli_levelized_stats_and_cache(capsys):
     from repro.sim.__main__ import main
 
-    argv = ["--design", "lfsr", "--cycles", "4", "--engine", "levelized",
-            "--stats", "--cache-dir", str(tmp_path)]
-    assert main(argv) == 0
+    assert main(["--design", "lfsr", "--cycles", "4", "--engine",
+                 "levelized", "--stats"]) == 0
     err = capsys.readouterr().err
-    assert "levelized cache: 0 hits, 1 misses" in err
-    assert main(argv) == 0
-    err = capsys.readouterr().err
-    assert "levelized cache: 1 hits, 0 misses" in err
+    assert re.search(r"^# levelized cone: \d+ nets / \d+ gates / "
+                     r"\d+ storage cells$", err, re.M)
+    assert "cache" not in err
 
 
-def test_cli_netlist_cross_check_includes_levelized(tmp_path, capsys):
+def test_cli_netlist_cross_check_includes_levelized(capsys):
     from repro.sim.__main__ import main
 
     rc = main(["--design", "gray", "--cycles", "4", "--netlist",
-               "--cross-check", "--cache-dir", str(tmp_path)])
+               "--cross-check"])
     assert rc == 0
     err = capsys.readouterr().err
     assert "identical across interp, blaze, levelized" in err
 
 
-def test_cli_rejects_levelized_batch_and_sanitize(tmp_path):
+def test_cli_rejects_levelized_batch_and_sanitize():
     from repro.sim.__main__ import main
 
     with pytest.raises(SystemExit):
