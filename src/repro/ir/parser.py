@@ -181,16 +181,21 @@ class Parser:
     def parse_module(self, name="module"):
         module = Module(name)
         while not self.check("eof"):
+            line = self.tok.line
             if self.check("ident", "declare"):
                 module.declare(self._parse_declaration())
-            elif self.check("ident", "func"):
-                module.add(self._parse_function())
+                continue
+            if self.check("ident", "func"):
+                unit = self._parse_function()
             elif self.check("ident", "proc"):
-                module.add(self._parse_process())
+                unit = self._parse_process()
             elif self.check("ident", "entity"):
-                module.add(self._parse_entity())
+                unit = self._parse_entity()
             else:
                 self.error(f"expected unit, found {self.tok.text!r}")
+            if unit.name in module.units:
+                raise ParseError(f"duplicate unit @{unit.name}", line)
+            module.add(unit)
         return module
 
     def _parse_declaration(self):
@@ -219,13 +224,22 @@ class Parser:
         self.expect("punct", ")")
         return UnitDecl(name, kind, ins, outs)
 
-    def _parse_arg_list(self):
-        """Parse ``(T %name, ...)`` returning (types, names)."""
+    def _parse_arg_list(self, role=None):
+        """Parse ``(T %name, ...)`` returning (types, names).
+
+        ``role`` (e.g. ``"entity output"``) requires every type to be a
+        signal, as process and entity ports are.
+        """
         self.expect("punct", "(")
         types, names = [], []
         if not self.check("punct", ")"):
             while True:
-                types.append(self.parse_type())
+                line = self.tok.line
+                ty = self.parse_type()
+                if role is not None and not ty.is_signal:
+                    raise ParseError(f"{role} must be a signal, got {ty}",
+                                     line)
+                types.append(ty)
                 names.append(self.expect("local").text[1:])
                 if not self.accept("punct", ","):
                     break
@@ -244,9 +258,9 @@ class Parser:
     def _parse_process(self):
         self.expect("ident", "proc")
         name = self.expect("global").text[1:]
-        in_types, in_names = self._parse_arg_list()
+        in_types, in_names = self._parse_arg_list("process input")
         self.expect("arrow")
-        out_types, out_names = self._parse_arg_list()
+        out_types, out_names = self._parse_arg_list("process output")
         unit = Process(name, in_types, in_names, out_types, out_names)
         self._parse_body(unit)
         return unit
@@ -254,9 +268,9 @@ class Parser:
     def _parse_entity(self):
         self.expect("ident", "entity")
         name = self.expect("global").text[1:]
-        in_types, in_names = self._parse_arg_list()
+        in_types, in_names = self._parse_arg_list("entity input")
         self.expect("arrow")
-        out_types, out_names = self._parse_arg_list()
+        out_types, out_names = self._parse_arg_list("entity output")
         unit = Entity(name, in_types, in_names, out_types, out_names)
         self.expect("punct", "{")
         self.values = {a.name: a for a in unit.args}
@@ -457,14 +471,19 @@ class Parser:
         saw = False
         while True:
             if self.check("timepart"):
-                text = self.advance().text
+                tok = self.advance()
+                text = tok.text
                 saw = True
                 if text.endswith("d") and text[:-1].isdigit():
                     delta = int(text[:-1])
                 elif text.endswith("e") and text[:-1].isdigit():
                     eps = int(text[:-1])
                 else:
-                    fs = TimeValue.parse(text).fs
+                    try:
+                        fs = TimeValue.parse(text).fs
+                    except ValueError:
+                        raise ParseError(f"invalid time literal {text!r}",
+                                         tok.line) from None
             elif self.check("number", "0"):
                 # bare "0" is not a valid unit; require 0s
                 self.error("time literal needs a unit (e.g. 0s)")

@@ -36,17 +36,8 @@ from ..ir.types import (
 from ..ir.units import Entity, Function, Module, Process
 from ..ir.values import TimeValue
 from . import ast
-from .lexer import MooreSyntaxError
+from .lexer import MooreError
 from .parser import parse_source
-
-
-class MooreError(Exception):
-    """Raised on semantic errors during elaboration/codegen."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class TypedValue:

@@ -5,14 +5,22 @@ from __future__ import annotations
 import re
 
 
-class MooreSyntaxError(Exception):
-    """Raised on lexical or syntactic errors, with a line number."""
+class MooreError(Exception):
+    """Raised on semantic errors during elaboration/codegen.
+
+    The base of every error the frontend raises, so ``compile_sv``
+    callers catch one type.
+    """
 
     def __init__(self, message, line=None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class MooreSyntaxError(MooreError):
+    """Raised on lexical or syntactic errors, with a line number."""
 
 
 KEYWORDS = frozenset({
@@ -76,7 +84,7 @@ def tokenize(source):
     return tokens
 
 
-def parse_based_literal(text):
+def parse_based_literal(text, line=None):
     """Parse ``8'hFF`` / ``'b1010`` -> (width or None, value, has_xz)."""
     width_part, rest = text.split("'", 1)
     width = int(width_part) if width_part else None
@@ -89,5 +97,9 @@ def parse_based_literal(text):
         cleaned = re.sub(r"[xXzZ?]", "0", digits)
     else:
         cleaned = digits
-    value = int(cleaned, base) if cleaned else 0
+    try:
+        value = int(cleaned, base) if cleaned else 0
+    except ValueError:
+        raise MooreSyntaxError(
+            f"digit outside base {base} in literal {text!r}", line) from None
     return width, value, has_xz

@@ -713,7 +713,7 @@ class Parser:
                               width=None, line=tok.line)
         if tok.kind == "based":
             self.advance()
-            width, value, has_xz = parse_based_literal(tok.text)
+            width, value, has_xz = parse_based_literal(tok.text, tok.line)
             return ast.Number(value=value, width=width, has_xz=has_xz,
                               line=tok.line)
         if tok.kind == "unbased":

@@ -38,7 +38,7 @@ from ..ir.ninevalued import ALL_X, LogicVec, lane_ones, two_valued
 from ..ir.units import UnitDecl
 from ..ir.values import TimeValue
 from .engine import Kernel, SignalInstance, SignalRef
-from .eval import _int_binary, int_shift, logic_level
+from .eval import _int_binary, int_shift
 from .interp import (
     Cell, CellRef, Design, EntityInstance, LaneProcessInstance,
     ProcessInstance,
@@ -142,7 +142,6 @@ _BASE_GLOBALS = {
     "_ibin": _int_binary,
     "_lv2": two_valued,
     "_LVX": ALL_X,
-    "_lvl": logic_level,
     "_ishift": int_shift,
     "_tosigned": to_signed,
     "_extract": extract_path,
@@ -153,6 +152,28 @@ _BASE_GLOBALS = {
     "LogicVec": LogicVec,
     "TimeValue": TimeValue,
     "SimulationError": SimulationError,
+}
+
+#: ``reg`` trigger hit tests over the previous (``p``) and current
+#: (``c``) trigger value expressions, per mode and trigger type class
+#: (``is_logic``), exactly ``plan._reg_step``'s: an ``lN`` trigger
+#: compares its X01 level (``logic_level``: the value when ``_unk`` is
+#: clear, else -1), so an edge from an unknown level counts (X -> 1 is
+#: a rising edge per IEEE 1800), while ``both`` compares exact values.
+#: Shared by scalar blaze and the levelized cone's storage cells.
+_TRIGGER_TESTS = {
+    ("rise", False): "{p} == 0 and {c} == 1",
+    ("fall", False): "{p} == 1 and {c} == 0",
+    ("both", False): "{p} != {c}",
+    ("high", False): "{c} == 1",
+    ("low", False): "{c} == 0",
+    ("rise", True): "not {c}._unk and {c}._val == 1 and "
+                    "({p}._unk or {p}._val == 0)",
+    ("fall", True): "not {c}._unk and {c}._val == 0 and "
+                    "({p}._unk or {p}._val == 1)",
+    ("both", True): "{p} is not {c} and {p} != {c}",
+    ("high", True): "not {c}._unk and {c}._val == 1",
+    ("low", True): "not {c}._unk and {c}._val == 0",
 }
 
 _INLINE_INT_OPS = {
@@ -1035,30 +1056,8 @@ class EntityCompiler(UnitCompiler):
         for i, t in enumerate(triggers):
             slot = base + i
             cur = n(t["trigger"])
-            mode = t["mode"]
-            if t["trigger"].type.is_logic:
-                # Mirrors plan._reg_step: rise needs the previous X01
-                # level to be 0 (the iN rule) or unknown (X -> 1 is a
-                # rising edge per IEEE 1800); 'both' compares exact
-                # values.
-                tests = {
-                    "rise": f"_lvl({cur}) == 1 and "
-                            f"_lvl(S[{slot}]) in (0, -1)",
-                    "fall": f"_lvl({cur}) == 0 and "
-                            f"_lvl(S[{slot}]) in (1, -1)",
-                    "both": f"S[{slot}] != {cur}",
-                    "high": f"_lvl({cur}) == 1",
-                    "low": f"_lvl({cur}) == 0",
-                }
-            else:
-                tests = {
-                    "rise": f"S[{slot}] == 0 and {cur} == 1",
-                    "fall": f"S[{slot}] == 1 and {cur} == 0",
-                    "both": f"S[{slot}] != {cur}",
-                    "high": f"{cur} == 1",
-                    "low": f"{cur} == 0",
-                }
-            cond = tests[mode]
+            cond = _TRIGGER_TESTS[t["mode"], t["trigger"].type.is_logic] \
+                .format(p=f"S[{slot}]", c=cur)
             if t["cond"] is not None:
                 cond = f"({cond}) and {n(t['cond'])}"
             delay = n(t["delay"]) if t["delay"] is not None else eps

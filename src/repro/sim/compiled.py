@@ -10,8 +10,10 @@ Two halves:
 * **cone modules** — :func:`generate_source` concatenates the gate
   recipes in levelized order into ``_settle_all(V)`` plus one
   specialized ``_settle_d<k>(V)`` per clock domain, each returning the
-  list of net slots it changed.  :func:`compile_cone` compiles and
-  executes that module against the blaze runtime helper namespace.
+  list of net slots it changed, and emits each storage cell's triggers
+  as a straight-line ``_seq<k>(V)`` (mode and ``iN``/``lN`` test fixed
+  at generation time).  :func:`compile_cone` compiles and executes
+  that module against the blaze runtime helper namespace.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from ..ir.instructions import Instruction
 from ..ir.ninevalued import LogicVec
 from ..ir.values import TimeValue
-from .blaze import _BASE_GLOBALS, UnitCompiler
+from .blaze import _BASE_GLOBALS, _TRIGGER_TESTS, UnitCompiler
 from .eval import path_of
 from .values import SimulationError
 
@@ -171,8 +173,53 @@ def _emit_settle(buf, name, gates, members=None):
     buf.append("    return ch")
 
 
+def _path_expr(proto):
+    """Source for a storage cell's projection path, reading dynamic
+    indices from ``V``."""
+    steps = []
+    for step in proto:
+        if step[0] == "fielddyn":
+            steps.append(f"('field', _idx(V[{step[1]}]))")
+        else:
+            steps.append(repr(step))
+    if not steps:
+        return "()"
+    return f"({', '.join(steps)},)"
+
+
+def _emit_seq(buf, cell, prev_base):
+    """``_seq<index>(V)``: the cell's fire ``(path, data, delay)`` or
+    None.  Every trigger's previous value is updated before any test
+    (``_reg_step`` updates it whether or not an earlier trigger hit),
+    the first hit whose condition holds fires.  ``delay`` is None when
+    the drive lands within the current femtosecond (an epsilon step or
+    a zero-fs ``after``), which the cone commits in the same settle."""
+    buf.append(f"def _seq{cell.index}(V, P=PREV):")
+    for i, (_m, _d, trig, _c, _dl, _lg) in enumerate(cell.triggers):
+        buf.append(f"    c{i} = V[{trig}]")
+        buf.append(f"    p{i} = P[{prev_base + i}]")
+        buf.append(f"    P[{prev_base + i}] = c{i}")
+    path = _path_expr(cell.path_proto)
+    for i, (mode, data, _t, cond, delay, logic) in enumerate(cell.triggers):
+        test = _TRIGGER_TESTS[mode, logic].format(p=f"p{i}", c=f"c{i}")
+        if cond is not None:
+            test = f"({test}) and V[{cond}]"
+        dl = "None" if delay is None or not delay.fs \
+            else f"DELAYS[{prev_base + i}]"
+        buf.append(f"    if {test}:")
+        buf.append(f"        return {path}, V[{data}], {dl}")
+    buf.append("    return None")
+
+
 def generate_source(plan):
-    """The cone as a self-contained Python module (one string)."""
+    """The cone as a self-contained Python module (one string).
+
+    Besides the settle functions it defines ``SEQS``, one trigger
+    function per storage cell.  They keep their previous trigger values
+    in the namespace's flat ``PREV`` list and read real-time delays
+    from ``DELAYS`` (both indexed per trigger, cell after cell), which
+    :func:`compile_cone` binds.
+    """
     buf = []
     _emit_settle(buf, "_settle_all", plan.gates)
     for di, (slot, covered, members) in enumerate(plan.domains):
@@ -188,6 +235,14 @@ def generate_source(plan):
         buf.append(")")
     else:
         buf.append("DOMAINS = ()")
+    base = 0
+    for cell in plan.seqs:
+        buf.append("")
+        _emit_seq(buf, cell, base)
+        base += len(cell.triggers)
+    buf.append("")
+    names = "".join(f"_seq{cell.index}, " for cell in plan.seqs)
+    buf.append(f"SEQS = ({names})")
     buf.append("")
     return "\n".join(buf)
 
@@ -195,6 +250,8 @@ def generate_source(plan):
 def compile_cone(plan):
     """The cone module's executable namespace."""
     ns = dict(_BASE_GLOBALS)
+    ns["PREV"] = [v for cell in plan.seqs for v in cell.prev]
+    ns["DELAYS"] = tuple(t[4] for cell in plan.seqs for t in cell.triggers)
     try:
         exec(compile(generate_source(plan), "<levelized-cone>", "exec"), ns)
     except Exception as exc:

@@ -18,7 +18,8 @@ This engine removes the scheduler from the combinational cone entirely:
   Tarjan SCC machinery ``repro.lint.loops`` uses and evaluated by
   fixpoint iteration instead (the design stays runnable);
 * :mod:`repro.sim.compiled` emits the ordered cone as one generated
-  Python function per clock domain (plus a full-cone fallback);
+  Python function per clock domain (plus a full-cone fallback), and
+  each storage cell's triggers as one straight-line function;
 * at simulation time a single cone activity — always ordered *after*
   every process and fallback entity — wakes on any cone net change,
   settles the whole cone in-place, and commits the changed nets
@@ -47,8 +48,6 @@ from ..ir.units import UnitDecl
 from ..ir.values import TimeValue
 from .blaze import BlazeDesign, BlazeEntityInstance
 from .engine import Kernel, SignalInstance, SignalRef
-from .eval import logic_level
-from .plan import _dynamic_index
 from .values import SimulationError, default_value, insert_path
 
 _ZERO = TimeValue(0)
@@ -66,9 +65,12 @@ class LevelizeError(SimulationError):
 
 
 class _SeqCell:
-    """One absorbed storage cell, evaluated with ``plan._reg_step``'s
-    exact trigger semantics (prev updated unconditionally per trigger,
-    first hit wins, condition checked after the hit)."""
+    """One absorbed storage cell: its triggers, initial trigger values
+    and output projection.  :mod:`repro.sim.compiled` turns each cell
+    into a generated ``_seq<index>(V)`` function with
+    ``plan._reg_step``'s exact trigger semantics (prev updated
+    unconditionally per trigger, first hit wins, condition checked
+    after the hit)."""
 
     __slots__ = ("index", "triggers", "prev", "path_proto", "root_slot",
                  "obs")
@@ -76,65 +78,10 @@ class _SeqCell:
     def __init__(self, index, triggers, prev, path_proto, root_slot, obs):
         self.index = index
         self.triggers = triggers  # (mode, data, trig, cond, delay, logic)
-        self.prev = prev
+        self.prev = prev          # trigger values at elaboration
         self.path_proto = path_proto
         self.root_slot = root_slot
         self.obs = obs
-
-    def evaluate(self, V):
-        """Returns ``(path, data, delay)`` for a fire, else None."""
-        prev_list = self.prev
-        fire = None
-        for i, (mode, data_slot, trig_slot, cond_slot, delay,
-                is_logic) in enumerate(self.triggers):
-            cur = V[trig_slot]
-            prev = prev_list[i]
-            prev_list[i] = cur
-            if fire is not None:
-                continue
-            if is_logic:
-                if mode == "rise":
-                    hit = logic_level(cur) == 1 and \
-                        logic_level(prev) in (0, -1)
-                elif mode == "fall":
-                    hit = logic_level(cur) == 0 and \
-                        logic_level(prev) in (1, -1)
-                elif mode == "both":
-                    hit = prev != cur
-                elif mode == "high":
-                    hit = logic_level(cur) == 1
-                else:
-                    hit = logic_level(cur) == 0
-            else:
-                if mode == "rise":
-                    hit = prev == 0 and cur == 1
-                elif mode == "fall":
-                    hit = prev == 1 and cur == 0
-                elif mode == "both":
-                    hit = prev != cur
-                elif mode == "high":
-                    hit = cur == 1
-                else:
-                    hit = cur == 0
-            if not hit:
-                continue
-            if cond_slot is not None and not V[cond_slot]:
-                continue
-            fire = (_resolve_path(self.path_proto, V), V[data_slot], delay)
-        return fire
-
-
-def _resolve_path(proto, V):
-    """Instantiate a projection path, reading dynamic indices from V."""
-    if not proto:
-        return ()
-    path = []
-    for step in proto:
-        if step[0] == "fielddyn":
-            path.append(("field", _dynamic_index(V[step[1]])))
-        else:
-            path.append(step)
-    return tuple(path)
 
 
 def _path_proto(root_ty, steps, port_slots):
@@ -316,6 +263,13 @@ class _Cone:
     Ordered after every other activity (its order is allocated at
     finalize), so within any delta round the testbench probes pre-settle
     values — the same interleaving the event-driven cascade produces.
+
+    Storage cells fire through their generated ``_seq<k>`` functions.
+    A commit walks the changed slots through per-slot records resolved
+    once (signal, alias histories, waiters) and appends to the trace
+    histories with :meth:`Trace.record`'s collapse rule inlined, so the
+    histories are final as recorded and ``Trace.finalize`` costs
+    nothing.
     """
 
     def __init__(self, design, plan, ns):
@@ -329,6 +283,7 @@ class _Cone:
         self.V = [sig.value for sig in plan.slot_sigs]
         self.seqs = plan.seqs
         self.seq_obs = plan.seq_obs
+        self.seq_fns = ns["SEQS"]
         self.settle_all = ns["_settle_all"]
         self.domains = ns["DOMAINS"]
         self.has_cycles = plan.has_cycles
@@ -352,12 +307,11 @@ class _Cone:
         # full-domain re-evaluation.
         self.comb_roots = frozenset(
             s for _t, in_slots, _o in plan.gates for s in in_slots)
-        # Per-slot resolved trace targets, filled lazily at first
-        # commit: () when the trace filter drops the signal, else the
-        # per-alias history lists — turning each record into a bare
-        # list append instead of a method call + dict lookups (commits
-        # dominate the marginal cost on change-dense cones).
-        self._hists = [None] * len(plan.slot_sigs)
+        # Per-slot commit records, resolved at a slot's first commit
+        # (elaboration is over by then, so the waiter sets are final):
+        # see _resolve.  Commits dominate the marginal cost on
+        # change-dense cones.
+        self._recs = [None] * len(plan.slot_sigs)
         kernel.schedule_initial(self)
 
     def run(self, kernel):
@@ -432,27 +386,27 @@ class _Cone:
         if not todo:
             return set()
         V = self.V
+        seq_fns = self.seq_fns
         # Two phases: every cell evaluates against the pre-fire values
         # (the event-driven kernel matures all epsilon drives after the
         # whole round ran), then the fires commit in cell order.
         commits = []
         for si in sorted(todo):
-            cell = self.seqs[si]
-            fire = cell.evaluate(V)
+            fire = seq_fns[si](V)
             if fire is not None:
-                commits.append((cell, fire))
+                commits.append((si, fire))
         fired = set()
-        kernel = self.kernel
-        for cell, (path, data, delay) in commits:
-            if delay is not None and delay.fs > 0:
+        seqs = self.seqs
+        for si, (path, data, delay) in commits:
+            root = seqs[si].root_slot
+            if delay is not None:
                 # Real-time clock-to-output: back to the scheduler, the
                 # maturation re-enters the cone as an external change.
-                sig = self.slot_sigs[cell.root_slot]
+                sig = self.slot_sigs[root]
                 target = SignalRef(sig, path, None) if path else sig
-                kernel.schedule_drive(("reg", self.order, cell.index),
-                                      target, data, delay)
+                self.kernel.schedule_drive(("reg", self.order, si),
+                                           target, data, delay)
                 continue
-            root = cell.root_slot
             old = V[root]
             new = insert_path(old, path, data) if path else data
             if new != old:
@@ -460,47 +414,61 @@ class _Cone:
                 fired.add(root)
         return fired
 
+    def _resolve(self, i):
+        """Slot ``i``'s commit record: ``(signal, alias histories,
+        process waiters, entity waiters other than the cone)``.  The
+        histories are ``()`` without a trace or when its filter drops
+        the signal; the process-waiter dict is the net's own (one-shot
+        subscriptions come and go in it)."""
+        sig = self.slot_sigs[i]
+        trace = self.kernel.trace
+        hists = ()
+        if trace is not None and (trace.signal_filter is None
+                                  or trace.signal_filter(sig)):
+            hists = tuple(trace.changes.setdefault(name, [])
+                          for name in sig.aliases)
+        others = tuple(act for order, act in sig.entity_waiters.items()
+                       if order != self.order)
+        return sig, hists, sig.proc_waiters, others
+
     def _commit(self, changed):
         if not changed:
             return
         kernel = self.kernel
-        trace = kernel.trace
-        now = kernel.now
-        fs = now[0]
+        schedule = kernel.schedule_resume
+        fs = kernel.now[0]
         V = self.V
-        hists = self._hists
-        my_order = self.order
+        recs = self._recs
         for i in sorted(changed):
-            sig = self.slot_sigs[i]
+            rec = recs[i]
+            if rec is None:
+                rec = recs[i] = self._resolve(i)
+            sig, hists, waiters, others = rec
             new = V[i]
-            if new == sig.value:
+            old = sig.value
+            if new is old or new == old:
                 continue    # settled back to the committed value
             sig.value = new
-            if trace is not None:
-                # Inlined trace.record fast path: per-alias history
-                # lists resolved once per slot, then each record is a
-                # bare compare + append with identical semantics.
-                hs = hists[i]
-                if hs is None:
-                    keep = (trace.signal_filter is None
-                            or trace.signal_filter(sig))
-                    hs = tuple(trace.changes.setdefault(name, [])
-                               for name in sig.aliases) if keep else ()
-                    hists[i] = hs
-                for history in hs:
-                    if history and history[-1][0] == fs:
-                        history[-1] = (fs, new)
+            # Inlined Trace.record, same collapse rule.
+            for history in hists:
+                if not history:
+                    history.append((fs, new))
+                    continue
+                last = history[-1]
+                if last[0] == fs:
+                    if len(history) > 1 and history[-2][1] == new:
+                        history.pop()
                     else:
-                        history.append((fs, new))
-            waiters = sig.proc_waiters
+                        history[-1] = (fs, new)
+                elif last[1] is old or last[1] != new:
+                    history.append((fs, new))
             if waiters:
                 # Wake next delta; the process pops its subscriptions
                 # itself (the one-shot protocol `_wake` implements).
                 for act in list(waiters.values()):
-                    kernel.schedule_resume(act, _ZERO)
-            for order, act in sig.entity_list():
-                if order != my_order:
-                    kernel.schedule_resume(act, _ZERO)
+                    schedule(act, _ZERO)
+            for act in others:
+                schedule(act, _ZERO)
 
 
 # -- elaboration ---------------------------------------------------------------

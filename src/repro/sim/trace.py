@@ -20,6 +20,11 @@ class Trace:
     epsilon steps are simulator implementation detail, so two correct
     simulators agree on the final value a signal holds at each femtosecond
     even when their internal delta sequences differ.
+
+    Histories are collapsed as they are recorded: each keeps the last
+    value of every femtosecond, with consecutive equal values merged
+    into the first of the run (delta-step churn never reaches the
+    list).  :meth:`finalize` therefore has nothing left to do.
     """
 
     def __init__(self, signal_filter=None):
@@ -37,22 +42,25 @@ class Trace:
         # the vast majority of nets, which never merged).
         for name in signal.aliases:
             history = changes.get(name)
-            if history is None:
-                history = changes[name] = []
-            if history and history[-1][0] == fs:
-                history[-1] = (fs, value)
-            else:
+            if not history:
+                if history is None:
+                    history = changes[name] = []
+                history.append((fs, value))
+                continue
+            last = history[-1]
+            if last[0] == fs:
+                # A later delta of the same femtosecond: last wins, and a
+                # return to the value kept before it undoes the entry.
+                if len(history) > 1 and history[-2][1] == value:
+                    history.pop()
+                else:
+                    history[-1] = (fs, value)
+            elif last[1] is not value and last[1] != value:
                 history.append((fs, value))
 
     def finalize(self):
-        """Collapse consecutive identical values (delta-step churn)."""
-        for name, history in self.changes.items():
-            collapsed = []
-            for fs, value in history:
-                if collapsed and collapsed[-1][1] == value:
-                    continue
-                collapsed.append((fs, value))
-            self.changes[name] = collapsed
+        """The trace itself: histories are already collapsed (see
+        :meth:`record`), so this costs O(1)."""
         return self
 
     def signals(self):

@@ -224,3 +224,24 @@ def test_parser_rejects_use_before_def():
           %z = const i8 0
         }
         """)
+
+
+@pytest.mark.parametrize("source, message, line", [
+    ("entity @e () -> () {\n  %t = const time 1drv\n}\n",
+     "invalid time literal '1drv'", 2),
+    ("entity @e () -> (i8 %x) {}\n",
+     "entity output must be a signal, got i8", 1),
+    ("proc @p (i8 %x) -> () {\n%b:\n  halt\n}\n",
+     "process input must be a signal, got i8", 1),
+    ("entity @e () -> () {}\n\nentity @e () -> () {}\n",
+     "duplicate unit @e", 3),
+])
+def test_parser_reports_bad_headers_and_literals_as_parse_errors(
+        source, message, line):
+    """Type and literal validation is routed into ``ParseError`` with a
+    position, never a ``ValueError``/``TypeError`` from the IR layer."""
+    from repro.ir import ParseError
+
+    with pytest.raises(ParseError, match=message) as excinfo:
+        parse_module(source)
+    assert excinfo.value.line == line

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.moore import MooreSyntaxError, parse_source
+from repro.moore import MooreError, MooreSyntaxError, compile_sv, parse_source
 from repro.moore import ast
 from repro.moore.lexer import parse_based_literal, tokenize
 
@@ -126,6 +126,13 @@ def test_syntax_error_reports_line():
     with pytest.raises(MooreSyntaxError) as excinfo:
         parse_source("module m;\n  assign = 1;\nendmodule")
     assert excinfo.value.line == 2
+
+
+def test_digit_outside_literal_base_is_a_moore_error():
+    with pytest.raises(MooreError, match="digit outside base 2") as excinfo:
+        compile_sv("module m;\n  logic [7:0] x;\n"
+                   "  initial x = 8'b0110011b;\nendmodule\n")
+    assert excinfo.value.line == 3
 
 
 def test_unterminated_module():

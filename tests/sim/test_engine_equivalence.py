@@ -292,7 +292,11 @@ def test_fuzzed_stimulus_survives_lowering_to_netlist(name):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_random_nine_valued_networks_agree(seed):
-    """Random packed-logic networks match across all three schedulers."""
+    """Random packed-logic networks match across all three schedulers,
+    and under the levelized cone once lowered and technology-mapped."""
+    from repro.interop import netlist_design
+    from repro.passes import lower_to_structural
+
     runs = {}
     for backend in BACKENDS:
         module = _random_logic_network(seed)
@@ -303,6 +307,12 @@ def test_random_nine_valued_networks_agree(seed):
         interp.trace.differences(runs["blaze"].trace)
     assert interp.stats == runs["blaze"].stats
     assert interp.trace.differences(runs["cycle"].trace) == []
+    lowered = _random_logic_network(seed)
+    lower_to_structural(lowered, strict=False)
+    netlist = simulate(netlist_design(lowered), "fuzz_top",
+                       backend="levelized")
+    assert netlist.stats["cone_gates"] > 0, "no gate reached the cone"
+    assert interp.trace.differences(netlist.trace) == []
     # The nets carry genuinely nine-valued traffic, not just 0/1.
     exotic = set()
     for _, history in interp.trace.finalize().changes.items():

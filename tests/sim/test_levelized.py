@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.ir import parse_module
+from repro.ir.ninevalued import LogicVec
 from repro.sim import SimulationError, simulate
 from repro.sim.levelize import elaborate_levelized
 
@@ -280,6 +281,167 @@ def _run_both(source, top="top", until_fs=None):
     return res
 
 
+# -- generated storage-cell triggers vs plan._reg_step -------------------------
+
+#: Trigger value pools per trigger type: two-state 0/1 plus a wide
+#: value, and the nine-valued 0/1/X/Z/L/H (plus U/W/-) and wide values
+#: with and without unknown bits.
+_TRIGGER_VALUES = {
+    "i1": (0, 1),
+    "i8": (0, 1, 2, 255),
+    "l1": tuple(LogicVec(c) for c in "01XZLHUW-"),
+    "l4": tuple(LogicVec(t) for t in
+                ("0000", "0001", "0010", "00X1", "ZZZZ", "000H", "LLLL")),
+}
+
+_ZERO_TEXT = {"i1": "0", "i8": "0", "l1": '"0"', "l4": '"0000"'}
+
+_MODES = ("rise", "fall", "both", "high", "low")
+
+
+def _trigger_cell_source(ty, clauses):
+    """A one-cell netlist: an i8 storage cell whose reg has one clause
+    per ``(mode, gated, delay)`` — ``gated`` adds an ``if`` condition
+    port, ``delay`` an ``after`` constant (None: the epsilon step)."""
+    ports, body, reg, sigs = [], [], [], []
+    for k, (mode, gated, delay) in enumerate(clauses):
+        names = [("d", "i8"), ("t", ty)] + ([("c", "i1")] if gated else [])
+        for prefix, pty in names:
+            ports.append(f"{pty}$ %{prefix}{k}")
+            body.append(f"  %p{prefix}{k} = prb {pty}$ %{prefix}{k}")
+            zero = "%zt" if prefix == "t" else \
+                "%z8" if prefix == "d" else "%z1"
+            sigs.append(f"  %{prefix}{k} = sig {pty} {zero}")
+        clause = f"%pd{k} {mode} %pt{k}"
+        if gated:
+            clause += f" if %pc{k}"
+        if delay is not None:
+            body.append(f"  %dl{k} = const time {delay}")
+            clause += f" after %dl{k}"
+        reg.append(clause)
+    port_list = ", ".join(ports)
+    return "\n".join([
+        f"entity @cell ({port_list}) -> (i8$ %q) {{",
+        *body,
+        f"  reg i8$ %q, {', '.join(reg)}",
+        "}",
+        "",
+        "entity @top () -> () {",
+        "  %z8 = const i8 0",
+        "  %z1 = const i1 0",
+        f"  %zt = const {ty} {_ZERO_TEXT[ty]}",
+        *sigs,
+        "  %q = sig i8 %z8",
+        f"  inst @cell ({port_list}) -> (i8$ %q)",
+        "}",
+        "",
+    ])
+
+
+def _check_triggers_match_reg_step(ty, clauses, seed):
+    """Drive the generated ``_seq0`` and ``plan._reg_step`` with the same
+    random trigger/data/condition sequence (and from every prev/cur
+    pair) and require identical fire decisions, data and delays."""
+    import random
+    from types import SimpleNamespace
+
+    from repro.sim.compiled import compile_cone
+    from repro.sim.levelize import _build_plan
+    from repro.sim.plan import _reg_step
+
+    module = parse_module(_trigger_cell_source(ty, clauses))
+    design = elaborate_levelized(module, "top", analysis=True)
+    assert design.report["seqs"] == 1 and design.report["fallbacks"] == []
+    plan = _build_plan(design)
+    ns = compile_cone(plan)
+    seq, prev = ns["SEQS"][0], ns["PREV"]
+    slot = {name.split(".")[-1]: i
+            for i, sig in enumerate(plan.slot_sigs) for name in sig.aliases}
+
+    cell = module.get("cell")
+    reg = next(i for i in cell.body if i.opcode == "reg")
+    port_of = {id(i): i.operands[0].name for i in cell.body
+               if i.opcode == "prb"}
+    fires = []
+    kernel = SimpleNamespace(
+        schedule_drive=lambda key, target, value, delay:
+            fires.append((value, delay)))
+    step = _reg_step(reg, kernel)
+    act = SimpleNamespace(order=0, reg_state={})
+
+    def run(values, prevs):
+        V = [None] * len(plan.slot_sigs)
+        env = {}
+        for name, value in values.items():
+            V[slot[name]] = value
+        for inst in cell.body:
+            if inst.opcode == "prb":
+                env[id(inst)] = values[port_of[id(inst)]]
+            elif inst.opcode == "const":
+                env[id(inst)] = inst.attrs["value"]
+        env[id(reg.reg_signal())] = None
+        prev[:] = prevs
+        act.reg_state[id(reg)] = list(prevs)
+        fire = seq(V)
+        fires.clear()
+        step(env, act)
+        expected = None
+        if fires:
+            # The cone commits a drive landing within the femtosecond
+            # itself (delay None) and schedules only real-time delays.
+            value, delay = fires[0]
+            expected = (value, delay if delay.fs else None)
+        got = None
+        if fire is not None:
+            path, data, delay = fire
+            assert path == ()
+            got = (data, delay)
+        assert got == expected, (ty, clauses, values, prevs)
+        assert prev == act.reg_state[id(reg)], (ty, clauses, values, prevs)
+        return list(prev)
+
+    pool = _TRIGGER_VALUES[ty]
+    rng = random.Random(seed)
+    n = len(clauses)
+
+    def draw(trigs):
+        values = {}
+        for k, (_mode, gated, _delay) in enumerate(clauses):
+            values[f"d{k}"] = rng.randrange(256)
+            values[f"t{k}"] = trigs[k]
+            if gated:
+                values[f"c{k}"] = rng.randrange(2)
+        return values
+
+    # Every (prev, cur) pair from a fresh state ...
+    for p in pool:
+        for c in pool:
+            run(draw([c] * n), [p] * n)
+    # ... and one long run, where prev must carry across evaluations.
+    prevs = [pool[0]] * n
+    for _ in range(300):
+        prevs = run(draw([rng.choice(pool) for _ in range(n)]), prevs)
+
+
+@pytest.mark.parametrize("ty", sorted(_TRIGGER_VALUES))
+@pytest.mark.parametrize("mode", _MODES)
+@pytest.mark.parametrize("gated", (False, True))
+def test_generated_trigger_matches_reg_step(ty, mode, gated):
+    _check_triggers_match_reg_step(ty, [(mode, gated, None)],
+                                   f"{ty}:{mode}:{gated}")
+
+
+@pytest.mark.parametrize("ty", sorted(_TRIGGER_VALUES))
+@pytest.mark.parametrize("modes", [("rise", "fall"), ("high", "both"),
+                                   ("low", "rise"), ("fall", "high")])
+def test_generated_two_trigger_cell_matches_reg_step(ty, modes):
+    """First hit wins, a false condition passes the fire on to the next
+    trigger, both prevs update on every evaluation, and a non-zero
+    ``after`` delay reaches the drive (zero-fs delays too)."""
+    clauses = [(modes[0], True, "0s"), (modes[1], False, "1ns")]
+    _check_triggers_match_reg_step(ty, clauses, f"{ty}:{modes}")
+
+
 def test_latch_cell_absorbed():
     res = _run_both(_LATCH)
     report = res.design.report
@@ -298,6 +460,18 @@ def test_register_cut_feedback_levelizes():
     # The register actually toggled.
     history = dict(res.trace.finalize().changes)["top.q"]
     assert len(history) > 4
+
+
+def test_real_time_clock_to_output_goes_through_the_scheduler():
+    """A storage cell with a non-zero ``after`` drives through the
+    kernel and re-enters the cone as an external change."""
+    source = _TOGGLE.replace("  %t = const time 0s\n  reg",
+                             "  %t = const time 100ps\n  reg")
+    res = _run_both(source, until_fs=20_000_000)
+    assert res.design.report["seqs"] == 1
+    history = dict(res.trace.finalize().changes)["top.q"]
+    assert len(history) > 4
+    assert all(t % 2_000_000 == 100_000 for t, _ in history[1:])
 
 
 def test_multi_clock_domains():
